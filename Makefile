@@ -47,8 +47,9 @@ dse:
 serve-bench:
 	dune exec bench/main.exe -- serve
 
-# Re-record the golden artifact snapshots under test/golden/ after an
-# intentional model or rendering change.
+# Re-record the golden artifact snapshots and the exact stats ledger
+# (test/golden/stats.txt) under test/golden/ after an intentional model
+# or rendering change.
 golden:
 	T1000_PROMOTE=1 T1000_GOLDEN_DIR=test/golden dune exec test/test_golden.exe
 
