@@ -157,6 +157,24 @@ grep -q "gsh2k/sel" "$CKPT_DIR/bpred_a9.out" || {
   exit 1
 }
 
+echo "== perfbench: every benchmark point matches its exact Stats digest =="
+# One short run per benchmark workload.  The per-point digests cover the
+# perfect front end on the three sweeps and wrong-path fetch on
+# `speculative`; a run with any failed point (a digest mismatch or a
+# fault) fails the gate.
+for W in penalty_sweep selection_sweep speculative kernel_stream; do
+  timeout 900 python3 perfbench/run.py --workload "$W" --seed 1 --seconds 1 \
+    > "$CKPT_DIR/perfbench_$W.out"
+  tail -n 1 "$CKPT_DIR/perfbench_$W.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["failed"] == 0 and r["attempted"] > 0 else 1)' || {
+    echo "perfbench $W reported failed points:" >&2
+    tail -n 1 "$CKPT_DIR/perfbench_$W.out" >&2
+    exit 1
+  }
+done
+
 echo "== dse: frontier determinism across worker counts =="
 # A tiny-budget design-space exploration on the reduced suite must
 # print a byte-identical frontier sequentially and on 4 workers.

@@ -2,8 +2,8 @@
     end of {!T1000_ooo.Sim}.
 
     The paper simulates with perfect prediction; this module supplies
-    the realistic alternatives used by the speculation ablation (a9)
-    and the [bpred] DSE axis:
+    the realistic alternatives used by the branch-prediction ablations
+    (a7, a9) and the [bpred] DSE axis:
 
     - [Perfect]: every control transfer predicted correctly (the
       default — the simulator's original exact trace-driven mode).

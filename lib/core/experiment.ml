@@ -527,11 +527,20 @@ let latency_model_sweep_result ?journal ctx =
 let latency_model_sweep ctx = strict (latency_model_sweep_result ctx)
 
 let branch_predictor_sweep_result ?journal ctx =
-  let preds =
-    [ ("perfect", Mconfig.Perfect); ("bimodal-2k", Mconfig.Bimodal 2048) ]
+  (* bimodal with stall-on-mispredict: fetch blocks at a mispredicted
+     branch until it resolves, no wrong path is fetched *)
+  let machines =
+    [
+      ("perfect", Mconfig.default);
+      ( "bimodal-2k",
+        {
+          Mconfig.default with
+          Mconfig.bpred = T1000_bpred.Predictor.Bimodal 11;
+          wrong_path_fetch = false;
+        } );
+    ]
   in
-  sweep_partial ?journal ~id:"a7" ctx preds (fun w bp ->
-      let machine = { Mconfig.default with Mconfig.branch_pred = bp } in
+  sweep_partial ?journal ~id:"a7" ctx machines (fun w machine ->
       let sel_setup =
         {
           (Runner.setup ~n_pfus:(Some 4) Runner.Selective) with

@@ -176,6 +176,10 @@ val speculation_sweep : ctx -> sweep_row list
     a workload, every task of that workload raises
     [Fault.Injected] instead of simulating. *)
 
+val fault_inject_target : unit -> string option
+(** The workload named by [T1000_FAULT_INJECT] (trimmed), if set and
+    non-empty — the test hook above, shared with the DSE engine. *)
+
 type point_fault = {
   fault_workload : string;
   fault_point : string;  (** the point's label within its sweep *)

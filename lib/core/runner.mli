@@ -59,10 +59,8 @@ val validate : setup -> unit
 (** Reject nonsensical setups before any simulation runs: [n_pfus]
     [Some n] with [n <= 0], negative [penalty], [gain_threshold]
     outside [[0, 1]] (NaN included), non-positive [lut_budget],
-    predictor table bits outside
-    [[{!T1000_bpred.Predictor.min_bits}, max_bits]], or a non-perfect
-    [machine.bpred] combined with a non-perfect legacy
-    [machine.branch_pred].
+    or [machine.bpred] table bits outside
+    [[{!T1000_bpred.Predictor.min_bits}, max_bits]].
     Called by {!setup}, {!select_table} and {!run}, so a hand-built
     record is still caught.
     @raise Fault.Error with [Invalid_config] naming the bad field. *)

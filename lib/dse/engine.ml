@@ -60,14 +60,6 @@ let eval_point ctx p =
   in
   combine p per
 
-(* Same test hook as the Experiment drivers: T1000_FAULT_INJECT names a
-   workload whose every task raises instead of simulating. *)
-let fault_inject_target () =
-  match Sys.getenv_opt "T1000_FAULT_INJECT" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> Some (String.trim s)
-
 let journal_key p (w : Workload.t) =
   Printf.sprintf "dse/%s/%s" (Space.key p) w.Workload.name
 
@@ -78,7 +70,8 @@ let journal_key p (w : Workload.t) =
 let evaluate_wave ?journal ctx wave =
   T1000_obs.Tracer.with_span ~cat:"dse" "dse.wave" @@ fun () ->
   let suite = T1000.Experiment.workloads ctx in
-  let inject = fault_inject_target () in
+  (* same test hook as the Experiment drivers *)
+  let inject = T1000.Experiment.fault_inject_target () in
   let tasks =
     List.concat_map (fun p -> List.map (fun w -> (p, w)) suite) wave
   in

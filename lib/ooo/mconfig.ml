@@ -3,10 +3,6 @@ type pfu_replacement =
   | Fifo
   | Random_det
 
-type branch_predictor =
-  | Perfect
-  | Bimodal of int
-
 type t = {
   fetch_width : int;
   decode_width : int;
@@ -20,8 +16,8 @@ type t = {
   n_pfus : int option;
   pfu_reconfig_cycles : int;
   pfu_replacement : pfu_replacement;
-  branch_pred : branch_predictor;
   bpred : T1000_bpred.Predictor.spec;
+  wrong_path_fetch : bool;
   cache : T1000_cache.Hierarchy.config;
   max_cycles : int;
   progress_window : int;
@@ -41,8 +37,8 @@ let default =
     n_pfus = Some 0;
     pfu_reconfig_cycles = 10;
     pfu_replacement = Lru;
-    branch_pred = Perfect;
     bpred = T1000_bpred.Predictor.Perfect;
+    wrong_path_fetch = true;
     cache = T1000_cache.Hierarchy.default_config;
     max_cycles = 2_000_000_000;
     progress_window = 1_000_000;

@@ -19,15 +19,19 @@
       register and store-to-load dependences are recorded;
     + {b fetch} — up to [fetch_width] instructions enter the fetch
       queue, stopping at taken branches and stalling on instruction-
-      cache misses.  Under the default [Mconfig.bpred = Perfect]
-      (paper Section 3.1) fetch follows the committed path exactly;
-      under a real predictor ({!T1000_bpred.Predictor}) fetch follows
-      the {e predicted} path — wrong-path instructions are synthesized
+      cache misses.  There is one fetch stage for every predictor.
+      Under the default [Mconfig.bpred = Perfect] (paper Section 3.1)
+      fetch follows the committed path exactly.  Under a real
+      predictor ({!T1000_bpred.Predictor}) a mispredicted control
+      instruction suspends correct-path fetch until it resolves.  With
+      [Mconfig.wrong_path_fetch] (the default) fetch meanwhile follows
+      the {e predicted} path: wrong-path instructions are synthesized
       from the static program image, dispatched into the RUU and PFU
       file, and squashed (window truncation, rename-map restore,
       configuration-pin release, history rollback) when the
-      mispredicted branch resolves.  Squashed instructions never
-      commit, so the committed instruction count is
+      mispredicted branch resolves.  Without it fetch stalls
+      (stall-on-mispredict) and nothing is squashed.  Squashed
+      instructions never commit, so the committed instruction count is
       predictor-independent.  See DESIGN.md Section 5j.
 
     Memory disambiguation is perfect: effective addresses come from the

@@ -12,8 +12,9 @@ type t = {
   ruu_full_stalls : int;  (** dispatch attempts blocked by a full RUU *)
   branch_mispredicts : int;  (** always 0 under perfect prediction *)
   squashes : int;
-      (** misprediction recoveries that flushed the window (speculative
-          front end only; always 0 under [Mconfig.bpred = Perfect]) *)
+      (** misprediction recoveries that flushed the window (wrong-path
+          fetch only; always 0 under [Mconfig.bpred = Perfect] and under
+          stall-on-mispredict, [Mconfig.wrong_path_fetch = false]) *)
   squashed_instrs : int;
       (** wrong-path instructions dropped from the RUU and IFQ by
           squashes *)
@@ -21,7 +22,8 @@ type t = {
       (** instructions synthesized down mispredicted paths *)
   recovery_cycles : int;
       (** cycles between misprediction detection at fetch and the
-          resolving squash, summed over all mispredictions *)
+          resolving squash, summed over all mispredictions (0 wherever
+          [squashes] is) *)
   fetch_stall_cycles : int;
       (** cycles the fetch stage spent blocked on instruction-cache
           misses or branch-redirect resolution *)

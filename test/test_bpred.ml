@@ -187,13 +187,24 @@ let test_branchy_counters_nonzero () =
 
 let test_committed_is_predictor_independent () =
   let p = counted_loop (fun b -> Builder.addu b R.t1 R.t0 R.t0) in
-  let committed bp =
-    (run ~mconfig:(with_bpred bp) p).Stats.committed
+  let reference = (run p).Stats.committed in
+  let stall =
+    { (with_bpred (Bp.Bimodal 8)) with Mconfig.wrong_path_fetch = false }
   in
-  let reference = committed Bp.Perfect in
   List.iter
-    (fun bp -> check_int (Bp.spec_to_string bp) reference (committed bp))
-    [ Bp.Static; Bp.Bimodal 8; Bp.Gshare 8; Bp.Gshare 2 ]
+    (fun (label, mconfig) ->
+      check_int label reference (run ~mconfig p).Stats.committed)
+    (("bimodal@8/stall", stall)
+    :: List.map
+         (fun bp -> (Bp.spec_to_string bp, with_bpred bp))
+         [ Bp.Static; Bp.Bimodal 8; Bp.Gshare 8; Bp.Gshare 2 ]);
+  (* the stall counterpart of squashes = branch_mispredicts: fetch
+     blocks at each mispredict, so nothing is ever squashed *)
+  let s = run ~mconfig:stall p in
+  check_bool "stall: mispredicts seen" true (s.Stats.branch_mispredicts > 0);
+  check_int "stall: no squashes" 0 s.Stats.squashes;
+  check_int "stall: no recovery cycles" 0 s.Stats.recovery_cycles;
+  check_int "stall: no wrong-path fetch" 0 s.Stats.wrong_path_fetched
 
 let test_squash_mid_pfu_execution () =
   (* an extended instruction right after the loop branch: on every

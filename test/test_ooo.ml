@@ -338,6 +338,15 @@ let test_sim_ruu_pressure () =
   check_bool "small window strictly slower" true
     (s_small.Stats.cycles > s_big.Stats.cycles)
 
+(* A 256-entry bimodal predictor under stall-on-mispredict: fetch
+   blocks at a mispredicted control instruction until it resolves. *)
+let stall_bimodal =
+  {
+    Mconfig.default with
+    Mconfig.bpred = T1000_bpred.Predictor.Bimodal 8;
+    wrong_path_fetch = false;
+  }
+
 let test_sim_branch_prediction () =
   (* loop branch: taken 99x then falls through - bimodal mispredicts
      only around the ends; a data-dependent alternating branch
@@ -363,16 +372,13 @@ let test_sim_branch_prediction () =
         Builder.bgtz b R.t0 "top";
         Builder.halt b)
   in
-  let bimodal =
-    { Mconfig.default with Mconfig.branch_pred = Mconfig.Bimodal 256 }
-  in
   let perf_loop = run loop_p in
-  let bi_loop = run ~mconfig:bimodal loop_p in
+  let bi_loop = run ~mconfig:stall_bimodal loop_p in
   check_int "perfect never mispredicts" 0 perf_loop.Stats.branch_mispredicts;
   check_bool "loop branch predicts well" true
     (bi_loop.Stats.branch_mispredicts <= 4);
   let perf_alt = run alt_p in
-  let bi_alt = run ~mconfig:bimodal alt_p in
+  let bi_alt = run ~mconfig:stall_bimodal alt_p in
   check_bool "alternating branch mispredicts a lot" true
     (bi_alt.Stats.branch_mispredicts >= 40);
   check_bool "mispredictions cost cycles" true
@@ -381,8 +387,8 @@ let test_sim_branch_prediction () =
     bi_alt.Stats.committed
 
 let test_sim_btb_indirect () =
-  (* a jr returning to the same site is learned by the last-target
-     buffer: the second call predicts correctly *)
+  (* a jr returning to the same site is learned by the BTB: the second
+     call predicts correctly *)
   let p =
     build (fun b ->
         Builder.li b R.t0 3;
@@ -394,10 +400,7 @@ let test_sim_btb_indirect () =
         Builder.label b "fn";
         Builder.jr b R.ra)
   in
-  let bimodal =
-    { Mconfig.default with Mconfig.branch_pred = Mconfig.Bimodal 256 }
-  in
-  let s = run ~mconfig:bimodal p in
+  let s = run ~mconfig:stall_bimodal p in
   (* the jr always returns to the same slot: only the first (cold)
      prediction can miss, plus at most a couple of loop-branch misses *)
   check_bool "btb learns the return target" true
