@@ -147,7 +147,10 @@ let first_divergence a b =
    artifacts it covers all eight workloads.  The matrix: the a7 points
    (baseline and selective@4 under perfect and bimodal-2k stall-on-
    mispredict prediction) plus baseline and greedy@2 under gshare@11
-   with wrong-path fetch. *)
+   with wrong-path fetch, followed by 2 PFUs at a 500-cycle
+   reconfiguration penalty (greedy and selective under perfect
+   prediction, greedy under gshare@11), where most cycles are PFU
+   dispatch stalls. *)
 let stats_line label (s : T1000_ooo.Stats.t) =
   let open T1000_ooo.Stats in
   Printf.sprintf
@@ -189,19 +192,32 @@ let stats_ledger () =
         ("gshare-11/gr2", gshare, Runner.setup ~n_pfus:(Some 2) Runner.Greedy);
       ]
   in
-  let buf = Buffer.create 16384 in
+  let p500 m = Runner.setup ~n_pfus:(Some 2) ~penalty:500 m in
+  let points_p500 =
+    [
+      ("perfect/gr2-p500", M.default, p500 Runner.Greedy);
+      ("perfect/sel2-p500", M.default, p500 Runner.Selective);
+      ("gshare-11/gr2-p500", gshare, p500 Runner.Greedy);
+    ]
+  in
+  let analyses =
+    List.map (fun w -> (w, Runner.analyze w)) T1000_workloads.Registry.all
+  in
+  let buf = Buffer.create 32768 in
   List.iter
-    (fun (w : T1000_workloads.Workload.t) ->
-      let analysis = Runner.analyze w in
+    (fun points ->
       List.iter
-        (fun (label, machine, s) ->
-          let r = Runner.run ~analysis w { s with Runner.machine } in
-          Buffer.add_string buf
-            (stats_line
-               (w.T1000_workloads.Workload.name ^ "/" ^ label)
-               r.Runner.stats))
-        points)
-    T1000_workloads.Registry.all;
+        (fun ((w : T1000_workloads.Workload.t), analysis) ->
+          List.iter
+            (fun (label, machine, s) ->
+              let r = Runner.run ~analysis w { s with Runner.machine } in
+              Buffer.add_string buf
+                (stats_line
+                   (w.T1000_workloads.Workload.name ^ "/" ^ label)
+                   r.Runner.stats))
+            points)
+        analyses)
+    [ points; points_p500 ];
   Buffer.contents buf
 
 let check name render () =
