@@ -98,6 +98,20 @@ if [ -z "$SHRUNK" ] || [ "$SHRUNK" -gt 20 ]; then
 fi
 echo "smallest reproducer: $SHRUNK instructions"
 
+echo "== sim: quiet-cycle skip is byte-identical to the audited per-cycle run =="
+# Greedy at a 500-cycle reconfiguration penalty is almost all PFU
+# dispatch stalls, so the simulator jumps over most of its cycles.
+# --selfcheck steps through every one of them instead, checking each
+# is quiet; the two reports must match byte for byte.
+timeout 300 dune exec bin/t1000_cli.exe -- run unepic -m greedy -r 500 \
+  > "$CKPT_DIR/skip_plain.out"
+timeout 300 dune exec bin/t1000_cli.exe -- run unepic -m greedy -r 500 \
+  --selfcheck > "$CKPT_DIR/skip_audited.out"
+diff "$CKPT_DIR/skip_plain.out" "$CKPT_DIR/skip_audited.out" || {
+  echo "quiet-cycle skip differs from the audited per-cycle run" >&2
+  exit 1
+}
+
 echo "== chaos: stormy resume sweep is byte-identical to calm =="
 # Under T1000_CHAOS the pool injects transient faults and kills worker
 # domains; retries plus the checkpoint journal must still deliver every

@@ -206,6 +206,7 @@ let misses t = t.misses
 let prefetches t = t.prefetches
 let reconfigs t = t.misses
 let stalls t = t.stalls
+let charge_stalls t k = t.stalls <- t.stalls + k
 
 let pp_stats ppf t =
   Format.fprintf ppf "pfu: %d hits, %d misses/reconfigs, %d dispatch stalls"

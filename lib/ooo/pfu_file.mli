@@ -52,6 +52,11 @@ val reconfigs : t -> int
 (** Equal to [misses]: every tag miss loads a configuration. *)
 
 val stalls : t -> int
+
+val charge_stalls : t -> int -> unit
+(** [charge_stalls t k] counts [k] more dispatch stalls at once: the
+    simulator charges a run of identical quiet cycles in bulk. *)
+
 val pp_stats : Format.formatter -> t -> unit
 
 val selfcheck : t -> string option

@@ -71,6 +71,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   in
   let ruu = Ruu.create ~size:mconfig.Mconfig.ruu_size in
   let ifq : (Trace.entry * fetch_class) Queue.t = Queue.create () in
+  (* Set by every stage that changes state other than the per-cycle
+     accumulators this cycle; a cycle that leaves it clear is quiet (see
+     the main loop). *)
+  let active = ref false in
   (* One-entry lookahead over the dynamic trace. *)
   let peeked = ref None in
   let trace_done = ref false in
@@ -80,6 +84,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     | None ->
         if !trace_done then None
         else begin
+          active := true;
           match Interp.step interp with
           | Some e ->
               peeked := Some e;
@@ -89,7 +94,10 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
               None
         end
   in
-  let consume () = peeked := None in
+  let consume () =
+    active := true;
+    peeked := None
+  in
   (* Register rename: dependence register -> seq of latest producer. *)
   let producer = Array.make Instr.dep_reg_count (-1) in
   (* Memory disambiguation: word index -> seq of the youngest store to
@@ -217,6 +225,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       else continue := false
     done;
     if !n > 0 then begin
+      active := true;
       last_commit := !now;
       if selfcheck then run_selfcheck ()
     end
@@ -267,6 +276,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
         in_prefix := false;
         if entry_ready e then begin
           let do_issue latency =
+            active := true;
             e.Ruu.issued <- true;
             e.Ruu.complete_at <- !now + latency;
             incr issued
@@ -360,6 +370,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
           e.Ruu.issued && e.Ruu.complete_at <= !now
         in
         if resolved then begin
+          active := true;
           if wrong_path_fetch then squash seq;
           pending := `None;
           wp_active := false
@@ -396,6 +407,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
         match pfu_outcome with
         | Some Pfu_file.Stall -> continue := false
         | (Some (Pfu_file.Ready _) | None) as outcome ->
+            active := true;
             ignore (Queue.pop ifq);
             let e = Ruu.push ruu in
             e.Ruu.slot <- te.Trace.index;
@@ -462,11 +474,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     let addr = Encoding.address_of_index index in
     let line = addr lsr line_shift in
     line = !last_fetch_line
-    ||
-    let lat = Hierarchy.fetch_latency hier ~addr in
-    last_fetch_line := line;
-    if lat > l1_hit then fetch_resume := !now + (lat - l1_hit);
-    lat <= l1_hit
+    || begin
+         active := true;
+         let lat = Hierarchy.fetch_latency hier ~addr in
+         last_fetch_line := line;
+         if lat > l1_hit then fetch_resume := !now + (lat - l1_hit);
+         lat <= l1_hit
+       end
   in
 
   (* Correct-path fetch.  Each control instruction is checked against
@@ -565,9 +579,13 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
       && Queue.length ifq < mconfig.Mconfig.ifq_size
     do
       let idx = !wp_index in
-      if idx < 0 || idx >= Array.length static_code then wp_active := false
+      if idx < 0 || idx >= Array.length static_code then begin
+        active := true;
+        wp_active := false
+      end
       else if not (icache_ready idx) then continue := false
       else begin
+        active := true;
         let instr = static_code.(idx) in
         Queue.push ({ Trace.index = idx; instr; mem_addr = -1 }, F_wrong) ifq;
         incr wrong_path_fetched;
@@ -619,18 +637,92 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     | Some n -> n
     | None -> mconfig.Mconfig.max_cycles
   in
+  let progress_window = mconfig.Mconfig.progress_window in
+
+  (* --- Quiet cycles ---
+     A cycle is quiet when no stage changes any state except the four
+     per-cycle accumulators: [occupancy_sum], [fetch_stall_cycles],
+     [ruu_full_stalls] and the PFU file's dispatch stalls.  Every other
+     dependence on [now] is a threshold comparison against one of the
+     event times below, a Stall from [Pfu_file.request] only counts
+     (with every unit pinned it returns before drawing a random victim),
+     and a PFU busy stamp only blocks issue in the cycle that wrote it.
+     So after a quiet cycle [c] every cycle repeats it exactly until
+     [next_event c]: the first later cycle at which fetch resumes after
+     an I-cache miss, an issued entry's result becomes available, or an
+     unissued entry's configuration load finishes — clamped to the
+     cycles at which the two watchdogs fire. *)
+  let first_after base gap =
+    if gap >= max_int - base then max_int else base + gap + 1
+  in
+  let next_event c =
+    let e = ref (first_after max_cycles 0) in
+    if not (Ruu.is_empty ruu) then
+      e := min !e (first_after !last_commit progress_window);
+    if !fetch_resume > c && !fetch_resume < !e then e := !fetch_resume;
+    for seq = Ruu.head_seq ruu to Ruu.tail_seq ruu - 1 do
+      let x = Ruu.get ruu seq in
+      let t = if x.Ruu.issued then x.Ruu.complete_at else x.Ruu.min_issue in
+      if t > c && t < !e then e := t
+    done;
+    !e
+  in
+  let skipped = ref 0 in
+  (* Selfcheck steps through every cycle a skip would cover instead of
+     jumping: each must repeat the quiet cycle that started the skip. *)
+  let audit_to = ref 0 in
+  let q_occ = ref 0 and q_fetch = ref 0 and q_full = ref 0 and q_pfu = ref 0 in
   while not (finished ()) do
     if !now > max_cycles then stuck `Cycle_budget max_cycles;
     if Ruu.is_empty ruu then last_commit := !now
-    else if !now - !last_commit > mconfig.Mconfig.progress_window then
-      stuck `No_commit mconfig.Mconfig.progress_window;
-    occupancy_sum := !occupancy_sum + Ruu.occupancy ruu;
+    else if !now - !last_commit > progress_window then
+      stuck `No_commit progress_window;
+    active := false;
+    let occ = Ruu.occupancy ruu in
+    let fetch0 = !fetch_stall_cycles
+    and full0 = !ruu_full_stalls
+    and pfu0 = Pfu_file.stalls pfus in
+    occupancy_sum := !occupancy_sum + occ;
     redirect_stage ();
     commit_stage ();
     issue_stage ();
     dispatch_stage ();
     fetch_stage ();
-    incr now
+    let c = !now in
+    incr now;
+    let d_fetch = !fetch_stall_cycles - fetch0
+    and d_full = !ruu_full_stalls - full0
+    and d_pfu = Pfu_file.stalls pfus - pfu0 in
+    if c < !audit_to then begin
+      if !active || occ <> !q_occ || d_fetch <> !q_fetch || d_full <> !q_full
+         || d_pfu <> !q_pfu
+      then
+        raise
+          (Selfcheck_violation
+             (Printf.sprintf "cycle %d inside a skip to %d was not quiet" c
+                !audit_to));
+      incr skipped
+    end
+    else if not !active then begin
+      let e = next_event c in
+      let k = e - !now in
+      if k > 0 then
+        if selfcheck then begin
+          audit_to := e;
+          q_occ := occ;
+          q_fetch := d_fetch;
+          q_full := d_full;
+          q_pfu := d_pfu
+        end
+        else begin
+          occupancy_sum := !occupancy_sum + (k * occ);
+          fetch_stall_cycles := !fetch_stall_cycles + (k * d_fetch);
+          ruu_full_stalls := !ruu_full_stalls + (k * d_full);
+          Pfu_file.charge_stalls pfus (k * d_pfu);
+          skipped := !skipped + k;
+          now := e
+        end
+    end
   done;
   let mr c = Cache.miss_rate c and tr t = Tlb.miss_rate t in
   let stats =
@@ -668,6 +760,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   let m = T1000_obs.Metrics.incr in
   m "sim.runs";
   m ~by:stats.Stats.cycles "sim.cycles";
+  m ~by:!skipped "sim.skipped_cycles";
   m ~by:stats.Stats.committed "sim.committed";
   m ~by:stats.Stats.ext_committed "sim.ext_committed";
   m ~by:stats.Stats.pfu_hits "sim.pfu.hits";

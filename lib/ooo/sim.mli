@@ -67,9 +67,9 @@ exception Sim_stuck of stuck
 (** The watchdog tripped: runaway or deadlocked simulation. *)
 
 exception Selfcheck_violation of string
-(** An RUU or PFU-file structural invariant failed under
-    [~selfcheck:true] — always a simulator bug, never a property of the
-    simulated program. *)
+(** An RUU or PFU-file structural invariant failed, or a cycle inside
+    a quiet-cycle skip was not quiet, under [~selfcheck:true] — always
+    a simulator bug, never a property of the simulated program. *)
 
 val pp_stuck : Format.formatter -> stuck -> unit
 
@@ -96,9 +96,19 @@ val run :
     Either tripping raises {!Sim_stuck} with a diagnostic snapshot
     instead of looping forever.
 
+    The simulation is event-driven over quiet cycles: after a cycle in
+    which no stage changed anything but the per-cycle accumulators, it
+    jumps to the next cycle at which fetch resumes, a result becomes
+    available or a configuration load finishes (never past the cycle
+    at which a watchdog fires), charging the skipped cycles in bulk.
+    The statistics are identical to stepping every cycle; the
+    [sim.skipped_cycles] metric counts the cycles jumped over.
+
     [~selfcheck:true] additionally audits the RUU and PFU-file
     structural invariants after every committing cycle
-    ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}), raising
+    ({!Ruu.selfcheck}, {!Pfu_file.selfcheck}), and steps through every
+    cycle a skip would have covered instead of jumping, checking that
+    each repeats the quiet cycle exactly.  It raises
     {!Selfcheck_violation} on the first violation.  Statistics are
     unaffected.
     @raise T1000_machine.Interp.Fault on architectural faults.

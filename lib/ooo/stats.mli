@@ -1,4 +1,10 @@
-(** Simulation statistics. *)
+(** Simulation statistics.
+
+    The per-cycle counters ([fetch_stall_cycles], [ruu_full_stalls],
+    [pfu_stalls] and the occupancy sum behind [avg_ruu_occupancy]) are
+    charged in bulk across a quiet-cycle skip ({!Sim.run}): the skipped
+    cycle count times the quiet cycle's delta, which is exactly what
+    stepping those cycles would add. *)
 
 type t = {
   cycles : int;

@@ -294,16 +294,58 @@ let test_runner_validation () =
 
 (* ---------- watchdog ---------- *)
 
+(* The watchdog fires at an exact cycle, with or without selfcheck: the
+   simulator jumps over quiet cycles but clamps every jump to the cycle
+   at which a watchdog would fire. *)
+let stuck_at ?ext_latency ?ext_eval mconfig p =
+  List.map
+    (fun selfcheck ->
+      match
+        Sim.run ~mconfig ?ext_latency ?ext_eval ~selfcheck
+          ~init:(fun _ _ -> ())
+          p
+      with
+      | _ -> Alcotest.fail "expected Sim_stuck"
+      | exception Sim.Sim_stuck s -> s)
+    [ false; true ]
+
 let test_watchdog_cycle_budget () =
+  (* the cold I-cache miss on the first fetch outlasts the budget *)
   let m = { Mconfig.default with Mconfig.max_cycles = 10 } in
-  check_bool "budget exceeded raises Sim_stuck" true
-    (match Sim.run ~mconfig:m ~init:(fun _ _ -> ()) (loop_program ()) with
-    | _ -> false
-    | exception Sim.Sim_stuck s ->
-        s.Sim.reason = `Cycle_budget
+  List.iter
+    (fun s ->
+      check_bool "budget exceeded raises Sim_stuck" true
+        (s.Sim.reason = `Cycle_budget
         && s.Sim.limit = 10
-        && s.Sim.cycle > 10
-        && String.length (Format.asprintf "%a" Sim.pp_stuck s) > 0)
+        && String.length (Format.asprintf "%a" Sim.pp_stuck s) > 0);
+      check_int "fires at the first cycle past the budget" 11 s.Sim.cycle;
+      check_int "nothing committed" 0 s.Sim.committed)
+    (stuck_at m (loop_program ()))
+
+let test_watchdog_no_pfu () =
+  (* An extended instruction with no PFU to run on: dispatch stalls
+     forever behind it once the RUU drains, so nothing ever happens
+     again and only the cycle budget ends the run. *)
+  let p =
+    build (fun b ->
+        Builder.li b R.t0 1;
+        Builder.ext b 0 R.t1 R.t0 R.zero;
+        Builder.halt b)
+  in
+  let m =
+    {
+      (Mconfig.with_pfus (Some 0) Mconfig.default) with
+      Mconfig.max_cycles = 1000;
+    }
+  in
+  List.iter
+    (fun s ->
+      check_bool "cycle budget" true (s.Sim.reason = `Cycle_budget);
+      check_int "fires at the first cycle past the budget" 1001 s.Sim.cycle;
+      check_int "only the li committed" 1 s.Sim.committed;
+      check_int "RUU empty" 0 s.Sim.ruu_occupancy;
+      check_int "ext and halt wait in the IFQ" 2 s.Sim.ifq_length)
+    (stuck_at ~ext_eval:(fun _ v1 _ -> v1) m p)
 
 let test_watchdog_env_override () =
   with_env "T1000_MAX_CYCLES" "5" (fun () ->
@@ -338,17 +380,14 @@ let test_watchdog_no_commit () =
       Mconfig.progress_window = 10;
     }
   in
-  check_bool "stalled pipeline detected" true
-    (match
-       Sim.run ~mconfig:m
-         ~ext_latency:(fun _ -> 200)
-         ~ext_eval:(fun _ v1 _ -> v1)
-         ~init:(fun _ _ -> ())
-         p
-     with
-    | _ -> false
-    | exception Sim.Sim_stuck s ->
-        s.Sim.reason = `No_commit && s.Sim.limit = 10 && s.Sim.committed >= 1)
+  List.iter
+    (fun s ->
+      check_bool "stalled pipeline detected" true
+        (s.Sim.reason = `No_commit && s.Sim.limit = 10);
+      (* the li commits at cycle 73, after the cold I-cache miss *)
+      check_int "fires one cycle past the progress window" 84 s.Sim.cycle;
+      check_int "only the li committed" 1 s.Sim.committed)
+    (stuck_at ~ext_latency:(fun _ -> 200) ~ext_eval:(fun _ v1 _ -> v1) m p)
 
 (* ---------- self-check ---------- *)
 
@@ -491,6 +530,7 @@ let () =
           Alcotest.test_case "T1000_MAX_CYCLES" `Quick
             test_watchdog_env_override;
           Alcotest.test_case "forward progress" `Quick test_watchdog_no_commit;
+          Alcotest.test_case "no PFU to run on" `Quick test_watchdog_no_pfu;
         ] );
       ( "selfcheck",
         [
