@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (Figure 2, the Section 4.1 statistics, Figure 6, the Section 5.2
-   penalty sensitivity, Figure 7) plus the DESIGN.md ablations A1-A7,
-   and runs Bechamel micro-benchmarks of the system's own hot kernels.
+   penalty sensitivity, Figure 7) plus the DESIGN.md ablations A1-A9 —
+   every artifact of the Report registry — and runs Bechamel
+   micro-benchmarks of the system's own hot kernels.
 
    Usage:
      dune exec bench/main.exe              # all paper artifacts + ablations
      dune exec bench/main.exe -- f2        # one artifact (f2 t41 f6 s52 f7)
-     dune exec bench/main.exe -- a1        # one ablation  (a1..a5)
+     dune exec bench/main.exe -- a1        # one ablation  (a1..a9)
      dune exec bench/main.exe -- paper     # paper artifacts only
      dune exec bench/main.exe -- perf      # Bechamel micro-benchmarks
      dune exec bench/main.exe -- speed     # engine timing -> BENCH_engine.json
@@ -19,108 +20,20 @@
 
 open T1000
 
-let suite_workloads () =
-  match Sys.getenv_opt "T1000_WORKLOADS" with
-  | None -> T1000_workloads.Registry.all
-  | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun n -> n <> "")
-      in
-      if names = [] then T1000_workloads.Registry.all
-      else
-        List.map
-          (fun n ->
-            match T1000_workloads.Registry.find n with
-            | Some w -> w
-            | None ->
-                Format.eprintf "unknown workload %S (known: %s)@." n
-                  (String.concat ", " T1000_workloads.Registry.names);
-                exit 2)
-          names
-
-let ctx = lazy (Experiment.create_ctx ~workloads:(suite_workloads ()) ())
+let ctx =
+  lazy (Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ())
 
 let banner title = Format.printf "@.==== %s ====@.@." title
 
-let run_f2 () =
-  banner "F2: Figure 2 (greedy)";
-  Format.printf "%a@." Report.pp_figure2 (Experiment.figure2 (Lazy.force ctx))
+(* An artifact's rendering, or its first fault raised. *)
+let render (a : Report.artifact) c =
+  match a.Report.render c with
+  | text, [] -> text
+  | _, f :: _ -> raise (Fault.Error f.Experiment.fault)
 
-let run_t41 () =
-  banner "T4.1: greedy instruction statistics";
-  Format.printf "%a@." Report.pp_table41 (Experiment.table41 (Lazy.force ctx))
-
-let run_f6 () =
-  banner "F6: Figure 6 (selective)";
-  Format.printf "%a@." Report.pp_figure6 (Experiment.figure6 (Lazy.force ctx))
-
-let run_s52 () =
-  banner "S5.2: reconfiguration-penalty sensitivity";
-  Format.printf "%a@." Report.pp_penalty_sweep
-    (Experiment.penalty_sweep (Lazy.force ctx))
-
-let run_f7 () =
-  banner "F7: Figure 7 (LUT cost distribution)";
-  Format.printf "%a@." Report.pp_figure7 (Experiment.figure7 (Lazy.force ctx))
-
-let run_a1 () =
-  banner "A1: PFU-count sweep (selective)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"selective speedup vs number of PFUs")
-    (Experiment.pfu_count_sweep (Lazy.force ctx))
-
-let run_a2 () =
-  banner "A2: bitwidth-threshold sweep (greedy, unlimited)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"greedy-unlimited speedup vs width threshold")
-    (Experiment.width_threshold_sweep (Lazy.force ctx))
-
-let run_a3 () =
-  banner "A3: gain-threshold sweep (selective, 2 PFUs)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"selective speedup vs gain-ratio threshold")
-    (Experiment.gain_threshold_sweep (Lazy.force ctx))
-
-let run_a4 () =
-  banner "A4: PFU replacement policy (selective, 2 PFUs)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"selective speedup vs replacement policy")
-    (Experiment.replacement_sweep (Lazy.force ctx))
-
-let run_a5 () =
-  banner "A5: machine-width sensitivity (selective, 4 PFUs)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"speedup vs machine width (per-width baseline)")
-    (Experiment.machine_sweep (Lazy.force ctx))
-
-let run_a6 () =
-  banner "A6: PFU delay model (selective, 4 PFUs)";
-  Format.printf "%a@."
-    (Report.pp_sweep
-       ~title:"speedup: single-cycle PFU vs LUT-level delay model")
-    (Experiment.latency_model_sweep (Lazy.force ctx))
-
-let run_a7 () =
-  banner "A7: branch prediction (selective, 4 PFUs, per-predictor baseline)";
-  Format.printf "%a@."
-    (Report.pp_sweep ~title:"speedup: perfect vs bimodal branch prediction")
-    (Experiment.branch_predictor_sweep (Lazy.force ctx))
-
-let run_a8 () =
-  banner "A8: configuration prefetching (selective, 2 PFUs)";
-  Format.printf "%a@."
-    (Report.pp_sweep
-       ~title:"speedup with/without cfgld preheader prefetch hints")
-    (Experiment.prefetch_sweep (Lazy.force ctx))
-
-let run_a9 () =
-  banner "A9: speculative front end (2 PFUs, per-predictor baseline)";
-  Format.printf "%a@."
-    (Report.pp_sweep
-       ~title:"greedy vs selective speedup per front-end branch predictor")
-    (Experiment.speculation_sweep (Lazy.force ctx))
+let run_artifact (a : Report.artifact) =
+  banner a.Report.banner;
+  Format.printf "%s@." (render a (Lazy.force ctx))
 
 (* Small budget: each design point simulates the whole suite, so this
    leg is the frontier of the coarse corner of the default space, not
@@ -223,24 +136,6 @@ let run_perf () =
    selection and simulation cost, and writes BENCH_engine.json so the
    perf trajectory survives across PRs. *)
 
-let speed_artifacts : (string * (Experiment.ctx -> unit)) list =
-  [
-    ("f2", fun c -> ignore (Experiment.figure2 c));
-    ("t41", fun c -> ignore (Experiment.table41 c));
-    ("f6", fun c -> ignore (Experiment.figure6 c));
-    ("s52", fun c -> ignore (Experiment.penalty_sweep c));
-    ("f7", fun c -> ignore (Experiment.figure7 c));
-    ("a1", fun c -> ignore (Experiment.pfu_count_sweep c));
-    ("a2", fun c -> ignore (Experiment.width_threshold_sweep c));
-    ("a3", fun c -> ignore (Experiment.gain_threshold_sweep c));
-    ("a4", fun c -> ignore (Experiment.replacement_sweep c));
-    ("a5", fun c -> ignore (Experiment.machine_sweep c));
-    ("a6", fun c -> ignore (Experiment.latency_model_sweep c));
-    ("a7", fun c -> ignore (Experiment.branch_predictor_sweep c));
-    ("a8", fun c -> ignore (Experiment.prefetch_sweep c));
-    ("a9", fun c -> ignore (Experiment.speculation_sweep c));
-  ]
-
 (* Per-leg phase breakdown from the Obs accumulators Runner and
    Experiment feed ("<phase>.seconds" + "<phase>.calls"); time_suite
    resets the metrics first, so the snapshot covers that leg alone. *)
@@ -261,16 +156,18 @@ let leg_phases () =
 let time_suite ~njobs =
   Unix.putenv "T1000_NJOBS" (string_of_int njobs);
   Obs.Metrics.reset ();
-  let ctx = Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+  let ctx =
+    Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+  in
   let timings =
     List.map
-      (fun (name, f) ->
+      (fun (a : Report.artifact) ->
         let t0 = Unix.gettimeofday () in
-        f ctx;
+        ignore (render a ctx);
         let dt = Unix.gettimeofday () -. t0 in
-        Format.printf "  njobs=%-2d %-4s %8.2f s@." njobs name dt;
-        (name, dt))
-      speed_artifacts
+        Format.printf "  njobs=%-2d %-4s %8.2f s@." njobs a.Report.id dt;
+        (a.Report.id, dt))
+      Report.artifacts
   in
   ( List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 timings,
     timings,
@@ -326,7 +223,9 @@ let run_speed () =
   in
   let dse =
     let t0 = Unix.gettimeofday () in
-    let ctx = Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    let ctx =
+      Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+    in
     let r =
       T1000_dse.Engine.explore ~budget:dse_budget ctx T1000_dse.Space.default
     in
@@ -346,7 +245,9 @@ let run_speed () =
        simulation-dominated; the cycle deltas are the model cost of
        wrong-path fetch, the Minstr/s deltas its engine cost. *)
     let module Bp = T1000_bpred.Predictor in
-    let ctx = Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    let ctx =
+      Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+    in
     let setup_for bp =
       let machine =
         { T1000_ooo.Mconfig.default with T1000_ooo.Mconfig.bpred = bp }
@@ -355,7 +256,7 @@ let run_speed () =
     in
     List.iter
       (fun w -> ignore (Experiment.run_setup ctx w (setup_for Bp.Perfect)))
-      (suite_workloads ());
+      (Experiment.env_workloads ());
     List.map
       (fun (label, bp) ->
         let s = setup_for bp in
@@ -366,7 +267,7 @@ let run_speed () =
               let r = Experiment.run_setup ctx w s in
               ( cy + r.Runner.stats.T1000_ooo.Stats.cycles,
                 co + r.Runner.stats.T1000_ooo.Stats.committed ))
-            (0, 0) (suite_workloads ())
+            (0, 0) (Experiment.env_workloads ())
         in
         let dt = Unix.gettimeofday () -. t0 in
         let mips =
@@ -400,7 +301,7 @@ let run_speed () =
        (List.map
           (fun (w : T1000_workloads.Workload.t) ->
             Printf.sprintf "\"%s\"" w.T1000_workloads.Workload.name)
-          (suite_workloads ())));
+          (Experiment.env_workloads ())));
   json_of_leg oc ~njobs:1 ~total:seq_total seq_timings seq_phases;
   Printf.fprintf oc ",\n  \"parallel\": ";
   (match par with
@@ -756,57 +657,30 @@ let run_serve () =
   close_out oc;
   Format.printf "wrote BENCH_serve.json@."
 
-let paper () =
-  run_f2 ();
-  run_t41 ();
-  run_f6 ();
-  run_s52 ();
-  run_f7 ()
-
-let ablations () =
-  run_a1 ();
-  run_a2 ();
-  run_a3 ();
-  run_a4 ();
-  run_a5 ();
-  run_a6 ();
-  run_a7 ();
-  run_a8 ();
-  run_a9 ()
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | [] ->
-      paper ();
-      ablations ()
-  | _ ->
-      List.iter
-        (function
-          | "f2" -> run_f2 ()
-          | "t41" -> run_t41 ()
-          | "f6" -> run_f6 ()
-          | "s52" -> run_s52 ()
-          | "f7" -> run_f7 ()
-          | "a1" -> run_a1 ()
-          | "a2" -> run_a2 ()
-          | "a3" -> run_a3 ()
-          | "a4" -> run_a4 ()
-          | "a5" -> run_a5 ()
-          | "a6" -> run_a6 ()
-          | "a7" -> run_a7 ()
-          | "a8" -> run_a8 ()
-          | "a9" -> run_a9 ()
-          | "dse" -> run_dse ()
-          | "paper" -> paper ()
-          | "ablations" -> ablations ()
-          | "perf" -> run_perf ()
-          | "speed" -> run_speed ()
-          | "serve" -> run_serve ()
-          | other ->
-              Format.eprintf
-                "unknown experiment %S (expected f2 t41 f6 s52 f7 a1-a9 dse \
-                 paper ablations perf speed serve)@."
-                other;
-              exit 2)
-        args
+  let run = function
+    | "dse" -> run_dse ()
+    | "paper" -> List.iter run_artifact Report.paper_artifacts
+    | "ablations" -> List.iter run_artifact Report.ablation_artifacts
+    | "perf" -> run_perf ()
+    | "speed" -> run_speed ()
+    | "serve" -> run_serve ()
+    | id -> (
+        match Report.find_artifact id with
+        | Some a -> run_artifact a
+        | None ->
+            Format.eprintf
+              "unknown experiment %S (expected %s dse paper ablations perf \
+               speed serve)@."
+              id
+              (String.concat " " Report.artifact_ids);
+            exit 2)
+  in
+  try
+    match args with
+    | [] -> List.iter run_artifact Report.artifacts
+    | _ -> List.iter run args
+  with Fault.Error f ->
+    Format.eprintf "bench: %s@." (Fault.to_string f);
+    exit (Fault.exit_code f)

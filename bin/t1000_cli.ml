@@ -30,6 +30,7 @@ let with_faults f =
 let validate_env () =
   try
     ignore (T1000.Pool.default_njobs ());
+    ignore (T1000.Experiment.env_workloads ());
     ignore (T1000_ooo.Sim.env_max_cycles ());
     ignore (T1000.Fault.getenv_bool "T1000_SELFCHECK");
     ignore (T1000_bpred.Predictor.env_spec ());
@@ -75,32 +76,6 @@ let setup_trace = function
       at_exit (fun () ->
           T1000.Obs.Tracer.write_chrome path;
           Format.eprintf "t1000_cli: trace written to %s@." path)
-
-(* The suite the experiment engine runs on: all workloads, or the
-   T1000_WORKLOADS comma-separated subset (same convention as bench). *)
-let suite_workloads () =
-  match Sys.getenv_opt "T1000_WORKLOADS" with
-  | None -> T1000_workloads.Registry.all
-  | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun n -> n <> "")
-      in
-      if names = [] then T1000_workloads.Registry.all
-      else
-        List.map
-          (fun n ->
-            match T1000_workloads.Registry.find n with
-            | Some w -> w
-            | None ->
-                Format.eprintf
-                  "t1000_cli: unknown workload %S in T1000_WORKLOADS \
-                   (known: %s)@."
-                  n
-                  (String.concat ", " T1000_workloads.Registry.names);
-                exit 2)
-          names
 
 let find_workload name =
   match T1000_workloads.Registry.find name with
@@ -412,7 +387,24 @@ let experiment_cmd =
         T1000.Checkpoint.env_var;
       exit 2
     end;
-    let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    (* Every id is checked against the registry before anything runs. *)
+    let artifacts =
+      with_faults (fun () ->
+          List.map
+            (fun id ->
+              match T1000.Report.find_artifact id with
+              | Some a -> a
+              | None ->
+                  T1000.Fault.invalid_config
+                    "unknown experiment %S (known: %s)" id
+                    (String.concat " " T1000.Report.artifact_ids))
+            ids)
+    in
+    let ctx =
+      T1000.Experiment.create_ctx
+        ~workloads:(T1000.Experiment.env_workloads ())
+        ()
+    in
     (* One journal file per experiment id; a plain (non --resume) run
        starts it afresh so stale records never leak into new results. *)
     let journal_for id =
@@ -426,39 +418,14 @@ let experiment_cmd =
         checkpoint_dir
     in
     let faults = ref [] in
-    let collect : type row. row T1000.Experiment.partial -> row list =
-     fun p ->
-      faults := !faults @ p.T1000.Experiment.faults;
-      p.T1000.Experiment.rows
+    let dispatch (a : T1000.Report.artifact) =
+      let text, fs =
+        a.T1000.Report.render ?journal:(journal_for a.T1000.Report.id) ctx
+      in
+      faults := !faults @ fs;
+      Format.printf "%s@." text
     in
-    let dispatch id =
-      let journal = journal_for id in
-      match id with
-      | "f2" ->
-          Format.printf "%a@." T1000.Report.pp_figure2
-            (collect (T1000.Experiment.figure2_result ?journal ctx))
-      | "t41" ->
-          Format.printf "%a@." T1000.Report.pp_table41
-            (collect (T1000.Experiment.table41_result ?journal ctx))
-      | "f6" ->
-          Format.printf "%a@." T1000.Report.pp_figure6
-            (collect (T1000.Experiment.figure6_result ?journal ctx))
-      | "s52" ->
-          Format.printf "%a@." T1000.Report.pp_penalty_sweep
-            (collect (T1000.Experiment.penalty_sweep_result ?journal ctx))
-      | "f7" ->
-          let r, fs = T1000.Experiment.figure7_result ?journal ctx in
-          faults := !faults @ fs;
-          Format.printf "%a@." T1000.Report.pp_figure7 r
-      | other -> (
-          match T1000.Experiment.ablation_result ?journal ctx other with
-          | Some p ->
-              Format.printf "%a@."
-                (T1000.Report.pp_sweep ~title:("Ablation " ^ other))
-                (collect p)
-          | None -> Format.eprintf "unknown experiment %S@." other)
-    in
-    with_faults (fun () -> List.iter dispatch ids);
+    with_faults (fun () -> List.iter dispatch artifacts);
     match !faults with
     | [] -> ()
     | fs ->
@@ -538,7 +505,11 @@ let dse_cmd =
           j)
         checkpoint_dir
     in
-    let ctx = T1000.Experiment.create_ctx ~workloads:(suite_workloads ()) () in
+    let ctx =
+      T1000.Experiment.create_ctx
+        ~workloads:(T1000.Experiment.env_workloads ())
+        ()
+    in
     let r =
       T1000_dse.Engine.explore ?journal ~budget
         ~sample:(if full then `Full else `Coarse)

@@ -78,22 +78,36 @@ type point_fault = {
 
 type 'row partial = { rows : 'row list; faults : point_fault list }
 
-let chunk n xs =
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> invalid_arg "Experiment.chunk"
-      | x :: tl -> take (k - 1) tl (x :: acc)
-  in
-  let rec go xs acc =
-    match xs with
-    | [] -> List.rev acc
-    | _ ->
-        let c, rest = take n xs [] in
-        go rest (c :: acc)
-  in
-  go xs []
+(* Rows-or-raise: the first fault as an exception, for callers that
+   want a sweep to abort rather than come back partial. *)
+let strict (p : 'row partial) =
+  match p.faults with
+  | [] -> p.rows
+  | { fault; _ } :: _ -> raise (Fault.Error fault)
+
+(* The suite named by T1000_WORKLOADS, comma-separated; the full suite
+   when unset or blank. *)
+let env_workloads () =
+  match Sys.getenv_opt "T1000_WORKLOADS" with
+  | None -> Registry.all
+  | Some s -> (
+      let names =
+        String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (fun n -> n <> "")
+      in
+      match names with
+      | [] -> Registry.all
+      | _ ->
+          List.map
+            (fun n ->
+              match Registry.find n with
+              | Some w -> w
+              | None ->
+                  Fault.invalid_config
+                    "unknown workload %S in T1000_WORKLOADS (known: %s)" n
+                    (String.concat ", " Registry.names))
+            names)
 
 (* Test hook: T1000_FAULT_INJECT names one workload whose every task
    raises Fault.Injected before evaluating, so the fault-isolation and
@@ -105,107 +119,110 @@ let fault_inject_target () =
   | Some s when String.trim s = "" -> None
   | Some s -> Some (String.trim s)
 
-(* Evaluate [eval w p] for every workload of the suite and every point,
-   fanned out over the worker pool as independent (workload x point)
-   tasks, and regroup into one per-workload row in suite order.  A task
-   that raises poisons only its own workload's row: the row is dropped
-   and each failing point becomes a [point_fault]; every other row is
-   still returned.  Determinism: every task is a pure function of
-   (w, p) — the shared memo tables only change *when* a value is
-   computed, never what it is — so the rows are identical at any worker
-   count.
+(* Evaluate [eval w p] for every (w, p) task of every group, fanned out
+   over the worker pool as independent tasks, and settle each group: all
+   of its values in task order, or a [point_fault] for each task that
+   raised.  A fault poisons only its own group.  Determinism: every task
+   is a pure function of (w, p) — the shared memo tables only change
+   *when* a value is computed, never what it is — so the outcome is
+   identical at any worker count.
 
-   With [?journal], completed point values are recorded (keyed on
-   [id/workload/label]) as they arrive, previously recorded points are
-   served from the journal without recomputation, and — because
-   marshalled OCaml values round-trip exactly — a resumed run's rows
-   are byte-identical to an uninterrupted one. *)
-let map_partial ?journal ~id ~label ctx points eval =
-  match points with
-  | [] -> (List.map (fun w -> (w, [])) ctx.suite, [])
-  | _ ->
-      T1000_obs.Tracer.with_span ~cat:"experiment" ("experiment." ^ id)
-      @@ fun () ->
-      T1000_obs.Metrics.time ("experiment." ^ id)
-      @@ fun () ->
-      let inject = fault_inject_target () in
-      let tasks =
-        List.concat_map (fun w -> List.map (fun p -> (w, p)) points) ctx.suite
-      in
-      let key ((w : Workload.t), p) =
-        Printf.sprintf "%s/%s/%s" id w.Workload.name (label p)
-      in
-      let eval_task ((w : Workload.t), p) =
-        (match inject with
-        | Some name when name = w.Workload.name ->
-            raise
-              (Fault.Error
-                 (Fault.Injected
-                    (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
-                       (key (w, p)))))
-        | Some _ | None -> ());
-        eval w p
-      in
-      let results =
-        match journal with
-        | None -> Pool.parallel_map_result eval_task tasks
-        | Some j ->
-            let task_arr = Array.of_list tasks in
-            let out = Array.make (Array.length task_arr) None in
-            let todo = ref [] in
-            Array.iteri
-              (fun i t ->
-                match Checkpoint.find j ~key:(key t) with
-                | Some v -> out.(i) <- Some (Ok v)
-                | None -> todo := i :: !todo)
-              task_arr;
-            let todo = Array.of_list (List.rev !todo) in
-            Pool.parallel_map_result
-              ~on_result:(fun k r ->
-                match r with
-                | Ok v -> Checkpoint.record j ~key:(key task_arr.(todo.(k))) v
-                | Error _ -> ())
-              (fun i -> eval_task task_arr.(i))
-              (Array.to_list todo)
-            |> List.iteri (fun k r -> out.(todo.(k)) <- Some r);
-            Array.to_list
-              (Array.map
-                 (function Some r -> r | None -> assert false)
-                 out)
-      in
-      let grouped = List.combine ctx.suite (chunk (List.length points) results) in
-      let faults = ref [] in
-      let rows =
-        List.filter_map
-          (fun ((w : Workload.t), rs) ->
-            if List.for_all Result.is_ok rs then
-              Some (w, List.map Result.get_ok rs)
-            else begin
-              List.iter2
-                (fun p r ->
-                  match r with
-                  | Ok _ -> ()
-                  | Error fault ->
-                      faults :=
-                        {
-                          fault_workload = w.Workload.name;
-                          fault_point = label p;
-                          fault;
-                        }
-                        :: !faults)
-                points rs;
-              None
-            end)
-          grouped
-      in
-      (rows, List.rev !faults)
+   With [?journal], completed values are recorded under [key w p] as
+   they arrive and previously recorded ones are served from the journal
+   without recomputation ([on_cached] is called for each); because
+   marshalled OCaml values round-trip exactly, a resumed run settles
+   byte-identically to an uninterrupted one. *)
+let fan_out ?journal ?(on_cached = ignore) ~key ~label groups eval =
+  let inject = fault_inject_target () in
+  let eval_task ((w : Workload.t), p) =
+    (match inject with
+    | Some name when name = w.Workload.name ->
+        raise
+          (Fault.Error
+             (Fault.Injected
+                (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
+                   (key w p))))
+    | Some _ | None -> ());
+    eval w p
+  in
+  let tasks = List.concat groups in
+  let results =
+    match journal with
+    | None -> Pool.parallel_map_result eval_task tasks
+    | Some j ->
+        let task_arr = Array.of_list tasks in
+        let out = Array.make (Array.length task_arr) None in
+        let todo = ref [] in
+        Array.iteri
+          (fun i (w, p) ->
+            match Checkpoint.find j ~key:(key w p) with
+            | Some v ->
+                on_cached ();
+                out.(i) <- Some (Ok v)
+            | None -> todo := i :: !todo)
+          task_arr;
+        let todo = Array.of_list (List.rev !todo) in
+        Pool.parallel_map_result
+          ~on_result:(fun k r ->
+            match r with
+            | Ok v ->
+                let w, p = task_arr.(todo.(k)) in
+                Checkpoint.record j ~key:(key w p) v
+            | Error _ -> ())
+          (fun i -> eval_task task_arr.(i))
+          (Array.to_list todo)
+        |> List.iteri (fun k r -> out.(todo.(k)) <- Some r);
+        Array.to_list
+          (Array.map (function Some r -> r | None -> assert false) out)
+  in
+  (* Hand each group back its own results, in task order. *)
+  let settle rest group =
+    let rest, rs =
+      List.fold_left_map (fun rs _ -> (List.tl rs, List.hd rs)) rest group
+    in
+    let faults =
+      List.filter_map
+        (fun (((w : Workload.t), p), r) ->
+          match r with
+          | Ok _ -> None
+          | Error fault ->
+              Some
+                {
+                  fault_workload = w.Workload.name;
+                  fault_point = label p;
+                  fault;
+                })
+        (List.combine group rs)
+    in
+    ( rest,
+      match faults with
+      | [] -> Ok (List.map Result.get_ok rs)
+      | _ -> Error faults )
+  in
+  snd (List.fold_left_map settle results groups)
 
-(* Strict facade over a partial result: the historical drivers abort on
-   the first fault, as they did when any task exception escaped. *)
-let strict (p : 'row partial) =
-  match p.faults with
-  | [] -> p.rows
-  | { fault; _ } :: _ -> raise (Fault.Error fault)
+(* One [row w values] per workload of the suite over the same [points],
+   journaled under [id/workload/label]: the rows of every workload whose
+   points all succeeded, in suite order, plus the faults of the rest. *)
+let map_partial ?journal ~id ~label ~row ctx points eval =
+  T1000_obs.Tracer.with_span ~cat:"experiment" ("experiment." ^ id)
+  @@ fun () ->
+  T1000_obs.Metrics.time ("experiment." ^ id)
+  @@ fun () ->
+  let outcomes =
+    fan_out ?journal
+      ~key:(fun (w : Workload.t) p ->
+        Printf.sprintf "%s/%s/%s" id w.Workload.name (label p))
+      ~label
+      (List.map (fun w -> List.map (fun p -> (w, p)) points) ctx.suite)
+      eval
+  in
+  List.fold_right2
+    (fun w o p ->
+      match o with
+      | Ok vs -> { p with rows = row w vs :: p.rows }
+      | Error fs -> { p with faults = fs @ p.faults })
+    ctx.suite outcomes { rows = []; faults = [] }
 
 (* -------- Figure 2 -------- *)
 
@@ -215,33 +232,23 @@ type f2_row = {
   f2_greedy_2pfu : float;
 }
 
-let figure2_result ?journal ctx =
+let figure2 ?journal ctx =
   let points =
     [
       ("greedy-unlimited", Runner.setup ~n_pfus:None ~penalty:0 Runner.Greedy);
       ("greedy-2pfu", Runner.setup ~n_pfus:(Some 2) ~penalty:10 Runner.Greedy);
     ]
   in
-  let rows, faults =
-    map_partial ?journal ~id:"figure2" ~label:fst ctx points (fun w (_, s) ->
-        speedup_of ctx w s)
-  in
-  {
-    rows =
-      List.map
-        (function
-          | (w : Workload.t), [ unlimited; two_pfu ] ->
-              {
-                f2_name = w.Workload.name;
-                f2_greedy_unlimited = unlimited;
-                f2_greedy_2pfu = two_pfu;
-              }
-          | _ -> assert false)
-        rows;
-    faults;
-  }
-
-let figure2 ctx = strict (figure2_result ctx)
+  map_partial ?journal ~id:"figure2" ~label:fst ctx points
+    ~row:(fun (w : Workload.t) -> function
+      | [ unlimited; two_pfu ] ->
+          {
+            f2_name = w.Workload.name;
+            f2_greedy_unlimited = unlimited;
+            f2_greedy_2pfu = two_pfu;
+          }
+      | _ -> assert false)
+    (fun w (_, s) -> speedup_of ctx w s)
 
 (* -------- Section 4.1 table -------- *)
 
@@ -253,42 +260,32 @@ type t41_row = {
   t41_occurrences : int;
 }
 
-let table41_result ?journal ctx =
-  let rows, faults =
-    map_partial ?journal ~id:"table41" ~label:fst ctx
-      [ ("greedy", ()) ]
-      (fun (w : Workload.t) (_, ()) ->
-        let table =
-          selection_table ctx w (Runner.setup ~n_pfus:None Runner.Greedy)
-        in
-        let entries = T1000_select.Extinstr.entries table in
-        let sizes =
-          List.map
-            (fun e -> T1000_dfg.Dfg.size e.T1000_select.Extinstr.dfg)
-            entries
-        in
-        {
-          t41_name = w.Workload.name;
-          t41_distinct = List.length entries;
-          (* An empty selection has no shortest/longest sequence; report
-             0 rather than the fold seeds (max_int / 0). *)
-          t41_shortest =
-            (match sizes with
-            | [] -> 0
-            | _ -> List.fold_left min max_int sizes);
-          t41_longest = List.fold_left max 0 sizes;
-          t41_occurrences = T1000_select.Extinstr.total_occurrences table;
-        })
-  in
-  {
-    rows =
-      List.map
-        (function _, [ row ] -> row | _ -> assert false)
-        rows;
-    faults;
-  }
-
-let table41 ctx = strict (table41_result ctx)
+let table41 ?journal ctx =
+  map_partial ?journal ~id:"table41" ~label:fst ctx
+    [ ("greedy", ()) ]
+    ~row:(fun _ -> function [ row ] -> row | _ -> assert false)
+    (fun (w : Workload.t) (_, ()) ->
+      let table =
+        selection_table ctx w (Runner.setup ~n_pfus:None Runner.Greedy)
+      in
+      let entries = T1000_select.Extinstr.entries table in
+      let sizes =
+        List.map
+          (fun e -> T1000_dfg.Dfg.size e.T1000_select.Extinstr.dfg)
+          entries
+      in
+      {
+        t41_name = w.Workload.name;
+        t41_distinct = List.length entries;
+        (* An empty selection has no shortest/longest sequence; report
+           0 rather than the fold seeds (max_int / 0). *)
+        t41_shortest =
+          (match sizes with
+          | [] -> 0
+          | _ -> List.fold_left min max_int sizes);
+        t41_longest = List.fold_left max 0 sizes;
+        t41_occurrences = T1000_select.Extinstr.total_occurrences table;
+      })
 
 (* -------- Figure 6 -------- *)
 
@@ -299,32 +296,22 @@ type f6_row = {
   f6_sel_unlimited : float;
 }
 
-let figure6_result ?journal ctx =
+let figure6 ?journal ctx =
   let sel n = Runner.setup ~n_pfus:n ~penalty:10 Runner.Selective in
   let points =
     [ ("2", sel (Some 2)); ("4", sel (Some 4)); ("unlimited", sel None) ]
   in
-  let rows, faults =
-    map_partial ?journal ~id:"figure6" ~label:fst ctx points (fun w (_, s) ->
-        speedup_of ctx w s)
-  in
-  {
-    rows =
-      List.map
-        (function
-          | (w : Workload.t), [ two; four; unlimited ] ->
-              {
-                f6_name = w.Workload.name;
-                f6_sel_2 = two;
-                f6_sel_4 = four;
-                f6_sel_unlimited = unlimited;
-              }
-          | _ -> assert false)
-        rows;
-    faults;
-  }
-
-let figure6 ctx = strict (figure6_result ctx)
+  map_partial ?journal ~id:"figure6" ~label:fst ctx points
+    ~row:(fun (w : Workload.t) -> function
+      | [ two; four; unlimited ] ->
+          {
+            f6_name = w.Workload.name;
+            f6_sel_2 = two;
+            f6_sel_4 = four;
+            f6_sel_unlimited = unlimited;
+          }
+      | _ -> assert false)
+    (fun w (_, s) -> speedup_of ctx w s)
 
 (* -------- Section 5.2 penalty sweep -------- *)
 
@@ -333,26 +320,16 @@ type s52_row = {
   s52_points : (int * float * float) list;
 }
 
-let penalty_sweep_result ?journal ?(penalties = [ 10; 50; 100; 250; 500 ]) ctx =
-  let rows, faults =
-    map_partial ?journal ~id:"s52" ~label:string_of_int ctx penalties
-      (fun w p ->
-        ( p,
-          speedup_of ctx w
-            (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Selective),
-          speedup_of ctx w
-            (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Greedy) ))
-  in
-  {
-    rows =
-      List.map
-        (fun ((w : Workload.t), points) ->
-          { s52_name = w.Workload.name; s52_points = points })
-        rows;
-    faults;
-  }
-
-let penalty_sweep ?penalties ctx = strict (penalty_sweep_result ?penalties ctx)
+let penalty_sweep ?journal ?(penalties = [ 10; 50; 100; 250; 500 ]) ctx =
+  map_partial ?journal ~id:"s52" ~label:string_of_int ctx penalties
+    ~row:(fun (w : Workload.t) points ->
+      { s52_name = w.Workload.name; s52_points = points })
+    (fun w p ->
+      ( p,
+        speedup_of ctx w
+          (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Selective),
+        speedup_of ctx w
+          (Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Greedy) ))
 
 (* -------- Figure 7 -------- *)
 
@@ -362,10 +339,13 @@ type f7_result = {
   f7_max : int;
 }
 
-let figure7_result ?journal ctx =
-  let rows, faults =
+let figure7 ?journal ctx =
+  let p =
     map_partial ?journal ~id:"figure7" ~label:fst ctx
       [ ("costs", ()) ]
+      ~row:(fun (w : Workload.t) -> function
+        | [ cs ] -> (w.Workload.name, cs)
+        | _ -> assert false)
       (fun (w : Workload.t) (_, ()) ->
         let r =
           run_setup ctx w (Runner.setup ~n_pfus:(Some 4) Runner.Selective)
@@ -374,26 +354,13 @@ let figure7_result ?journal ctx =
           (fun e -> e.T1000_select.Extinstr.lut_cost)
           (T1000_select.Extinstr.entries r.Runner.table))
   in
-  let costs =
-    List.map
-      (function
-        | (w : Workload.t), [ cs ] -> (w.Workload.name, cs)
-        | _ -> assert false)
-      rows
-  in
-  let all = List.concat_map snd costs in
+  let all = List.concat_map snd p.rows in
   ( {
-      f7_costs = costs;
+      f7_costs = p.rows;
       f7_histogram = T1000_hwcost.Area.histogram all;
       f7_max = List.fold_left max 0 all;
     },
-    faults )
-
-let figure7 ctx =
-  let r, faults = figure7_result ctx in
-  match faults with
-  | [] -> r
-  | { fault; _ } :: _ -> raise (Fault.Error fault)
+    p.faults )
 
 (* -------- Ablations -------- *)
 
@@ -406,33 +373,23 @@ type sweep_row = {
    payload never enters the journal key — only its label does — so the
    (label, payload) pairs must have distinct labels within a sweep. *)
 let sweep_partial ?journal ~id ctx points eval =
-  let rows, faults =
-    map_partial ?journal ~id ~label:fst ctx points (fun w (_, p) -> eval w p)
-  in
-  {
-    rows =
-      List.map
-        (fun ((w : Workload.t), vs) ->
-          {
-            sweep_name = w.Workload.name;
-            sweep_points = List.map2 (fun (l, _) v -> (l, v)) points vs;
-          })
-        rows;
-    faults;
-  }
+  map_partial ?journal ~id ~label:fst ctx points
+    ~row:(fun (w : Workload.t) vs ->
+      {
+        sweep_name = w.Workload.name;
+        sweep_points = List.map2 (fun (l, _) v -> (l, v)) points vs;
+      })
+    (fun w (_, p) -> eval w p)
 
-let pfu_count_sweep_result ?journal ?(counts = [ 1; 2; 3; 4; 6; 8 ]) ctx =
+let pfu_count_sweep ?journal ctx =
   sweep_partial ?journal ~id:"a1" ctx
-    (List.map (fun n -> (string_of_int n, n)) counts)
+    (List.map (fun n -> (string_of_int n, n)) [ 1; 2; 3; 4; 6; 8 ])
     (fun w n ->
       speedup_of ctx w (Runner.setup ~n_pfus:(Some n) Runner.Selective))
 
-let pfu_count_sweep ?counts ctx = strict (pfu_count_sweep_result ?counts ctx)
-
-let width_threshold_sweep_result ?journal ?(widths = [ 8; 12; 18; 24; 32 ]) ctx
-    =
+let width_threshold_sweep ?journal ctx =
   sweep_partial ?journal ~id:"a2" ctx
-    (List.map (fun n -> (string_of_int n, n)) widths)
+    (List.map (fun n -> (string_of_int n, n)) [ 8; 12; 18; 24; 32 ])
     (fun w width ->
       let s = Runner.setup ~n_pfus:None ~penalty:0 Runner.Greedy in
       let s =
@@ -444,22 +401,17 @@ let width_threshold_sweep_result ?journal ?(widths = [ 8; 12; 18; 24; 32 ]) ctx
       in
       speedup_of ctx w s)
 
-let width_threshold_sweep ?widths ctx =
-  strict (width_threshold_sweep_result ?widths ctx)
-
-let gain_threshold_sweep_result ?journal ?(thresholds = [ 0.001; 0.005; 0.02 ])
-    ctx =
+let gain_threshold_sweep ?journal ctx =
   sweep_partial ?journal ~id:"a3" ctx
-    (List.map (fun th -> (Printf.sprintf "%.3f" th, th)) thresholds)
+    (List.map
+       (fun th -> (Printf.sprintf "%.3f" th, th))
+       [ 0.001; 0.005; 0.02 ])
     (fun w th ->
       let s = Runner.setup ~n_pfus:(Some 2) Runner.Selective in
       let s = { s with Runner.gain_threshold = th } in
       speedup_of ctx w s)
 
-let gain_threshold_sweep ?thresholds ctx =
-  strict (gain_threshold_sweep_result ?thresholds ctx)
-
-let replacement_sweep_result ?journal ctx =
+let replacement_sweep ?journal ctx =
   let policies =
     [
       ("lru", Mconfig.Lru);
@@ -472,9 +424,7 @@ let replacement_sweep_result ?journal ctx =
       let s = { s with Runner.replacement = pol } in
       speedup_of ctx w s)
 
-let replacement_sweep ctx = strict (replacement_sweep_result ctx)
-
-let machine_sweep_result ?journal ctx =
+let machine_sweep ?journal ctx =
   let machines =
     [
       ( "2-wide/ruu32",
@@ -515,18 +465,14 @@ let machine_sweep_result ?journal ctx =
       let r = run_setup ctx w sel_setup in
       Runner.speedup ~baseline:b r)
 
-let machine_sweep ctx = strict (machine_sweep_result ctx)
-
-let latency_model_sweep_result ?journal ctx =
+let latency_model_sweep ?journal ctx =
   let models = [ ("1-cycle", `Single_cycle); ("lut-levels", `Lut_levels) ] in
   sweep_partial ?journal ~id:"a6" ctx models (fun w m ->
       let s = Runner.setup ~n_pfus:(Some 4) Runner.Selective in
       let s = { s with Runner.ext_timing = m } in
       speedup_of ctx w s)
 
-let latency_model_sweep ctx = strict (latency_model_sweep_result ctx)
-
-let branch_predictor_sweep_result ?journal ctx =
+let branch_predictor_sweep ?journal ctx =
   (* bimodal with stall-on-mispredict: fetch blocks at a mispredicted
      branch until it resolves, no wrong path is fetched *)
   let machines =
@@ -551,25 +497,21 @@ let branch_predictor_sweep_result ?journal ctx =
       let r = run_setup ctx w sel_setup in
       Runner.speedup ~baseline:b r)
 
-let branch_predictor_sweep ctx = strict (branch_predictor_sweep_result ctx)
-
-let prefetch_sweep_result ?journal ?(penalties = [ 100; 500 ]) ctx =
+let prefetch_sweep ?journal ctx =
   let points =
     List.concat_map
       (fun pen ->
         List.map
           (fun (label, pf) -> (Printf.sprintf "%d%s" pen label, (pen, pf)))
           [ ("cyc", false); ("cyc+pf", true) ])
-      penalties
+      [ 100; 500 ]
   in
   sweep_partial ?journal ~id:"a8" ctx points (fun w (pen, pf) ->
       let s = Runner.setup ~n_pfus:(Some 2) ~penalty:pen Runner.Selective in
       let s = { s with Runner.config_prefetch = pf } in
       speedup_of ctx w s)
 
-let prefetch_sweep ?penalties ctx = strict (prefetch_sweep_result ?penalties ctx)
-
-let speculation_sweep_result ?journal ctx =
+let speculation_sweep ?journal ctx =
   let module Bp = T1000_bpred.Predictor in
   let preds =
     [
@@ -600,17 +542,3 @@ let speculation_sweep_result ?journal ctx =
       let r = run_setup ctx w s in
       Runner.speedup ~baseline:b r)
 
-let speculation_sweep ctx = strict (speculation_sweep_result ctx)
-
-let ablation_result ?journal ctx id =
-  match id with
-  | "a1" -> Some (pfu_count_sweep_result ?journal ctx)
-  | "a2" -> Some (width_threshold_sweep_result ?journal ctx)
-  | "a3" -> Some (gain_threshold_sweep_result ?journal ctx)
-  | "a4" -> Some (replacement_sweep_result ?journal ctx)
-  | "a5" -> Some (machine_sweep_result ?journal ctx)
-  | "a6" -> Some (latency_model_sweep_result ?journal ctx)
-  | "a7" -> Some (branch_predictor_sweep_result ?journal ctx)
-  | "a8" -> Some (prefetch_sweep_result ?journal ctx)
-  | "a9" -> Some (speculation_sweep_result ?journal ctx)
-  | _ -> None

@@ -46,6 +46,67 @@ val speedup_of : ctx -> Workload.t -> Runner.setup -> float
 (** Speedup of [run_setup] over the workload's cached default-machine
     baseline. *)
 
+(** {1 Fault-isolated, checkpointed fan-out}
+
+    Every driver below fans its (workload x point) tasks out through
+    {!fan_out}, which never lets a per-point exception abort the sweep:
+    each task that raises is classified into the {!Fault} taxonomy, the
+    affected workload's row is withheld, and every other row is still
+    returned.  {!strict} turns such a partial result back into
+    rows-or-raise.
+
+    With [?journal], completed point values are recorded in the
+    {!Checkpoint} journal (keyed [id/workload/label]) as they arrive and
+    already-recorded points are served from it without recomputation,
+    so re-running an interrupted sweep against the same journal resumes
+    it — and yields rows byte-identical to an uninterrupted run.
+
+    Test hook: when the [T1000_FAULT_INJECT] environment variable names
+    a workload, every task of that workload raises
+    [Fault.Injected] instead of simulating. *)
+
+val env_workloads : unit -> Workload.t list
+(** The suite named by [T1000_WORKLOADS] (comma-separated names), or
+    the full suite when it is unset or blank.
+    @raise Fault.Error with [Invalid_config] on an unknown name. *)
+
+val fault_inject_target : unit -> string option
+(** The workload named by [T1000_FAULT_INJECT] (trimmed), if set and
+    non-empty — the test hook above. *)
+
+type point_fault = {
+  fault_workload : string;
+  fault_point : string;  (** the point's label within its sweep *)
+  fault : Fault.t;
+}
+
+(** Rows for every workload whose points all succeeded, plus one
+    {!point_fault} per failed (workload x point) task, in suite
+    order. *)
+type 'row partial = { rows : 'row list; faults : point_fault list }
+
+val strict : 'row partial -> 'row list
+(** The rows, or the first fault raised as {!Fault.Error}. *)
+
+val fan_out :
+  ?journal:Checkpoint.t ->
+  ?on_cached:(unit -> unit) ->
+  key:(Workload.t -> 'p -> string) ->
+  label:('p -> string) ->
+  (Workload.t * 'p) list list ->
+  (Workload.t -> 'p -> 'v) ->
+  ('v list, point_fault list) result list
+(** [fan_out ~key ~label groups eval] evaluates [eval w p] for every
+    task of every group as independent {!Pool} tasks and settles each
+    group, in order: [Ok] with its values in task order, or [Error]
+    with a fault (point [label p]) for each of its tasks that raised.
+    The outcome is identical at any worker count.  With [?journal],
+    values are recorded under [key w p] as they complete and served
+    from the journal on re-run, calling [on_cached] once per served
+    task.  The [T1000_FAULT_INJECT] hook applies to every task.  The
+    drivers below group by workload; the DSE engine groups by design
+    point. *)
+
 (** {1 Figure 2 — greedy selection} *)
 
 type f2_row = {
@@ -55,7 +116,7 @@ type f2_row = {
   f2_greedy_2pfu : float;  (** 2 PFUs, 10-cycle penalty (thrashing) *)
 }
 
-val figure2 : ctx -> f2_row list
+val figure2 : ?journal:Checkpoint.t -> ctx -> f2_row partial
 
 (** {1 Section 4.1 text table — greedy instruction statistics} *)
 
@@ -71,7 +132,7 @@ type t41_row = {
   t41_occurrences : int;  (** static occurrence sites *)
 }
 
-val table41 : ctx -> t41_row list
+val table41 : ?journal:Checkpoint.t -> ctx -> t41_row partial
 
 (** {1 Figure 6 — selective selection} *)
 
@@ -82,7 +143,7 @@ type f6_row = {
   f6_sel_unlimited : float;
 }
 
-val figure6 : ctx -> f6_row list
+val figure6 : ?journal:Checkpoint.t -> ctx -> f6_row partial
 
 (** {1 Section 5.2 — reconfiguration-penalty sensitivity} *)
 
@@ -92,7 +153,8 @@ type s52_row = {
       (** (penalty, selective 2-PFU speedup, greedy 2-PFU speedup) *)
 }
 
-val penalty_sweep : ?penalties:int list -> ctx -> s52_row list
+val penalty_sweep :
+  ?journal:Checkpoint.t -> ?penalties:int list -> ctx -> s52_row partial
 (** Default penalties: 10, 50, 100, 250, 500 (the paper's claim covers
     up to 500). *)
 
@@ -104,51 +166,54 @@ type f7_result = {
   f7_max : int;
 }
 
-val figure7 : ctx -> f7_result
+val figure7 : ?journal:Checkpoint.t -> ctx -> f7_result * point_fault list
+(** The aggregate is computed over the workloads that succeeded;
+    faulted workloads are simply absent from [f7_costs] and the
+    histogram. *)
 
-(** {1 Ablations (DESIGN.md A1-A5)} *)
+(** {1 Ablations (DESIGN.md A1-A9)} *)
 
 type sweep_row = {
   sweep_name : string;
   sweep_points : (string * float) list;  (** (setting label, speedup) *)
 }
 
-val pfu_count_sweep : ?counts:int list -> ctx -> sweep_row list
-(** A1: selective speedup vs number of PFUs (default 1,2,3,4,6,8). *)
+val pfu_count_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
+(** A1: selective speedup vs number of PFUs (1, 2, 3, 4, 6, 8). *)
 
-val width_threshold_sweep : ?widths:int list -> ctx -> sweep_row list
+val width_threshold_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A2: greedy-unlimited speedup vs candidate bitwidth threshold
-    (default 8,12,18,24,32). *)
+    (8, 12, 18, 24, 32). *)
 
-val gain_threshold_sweep : ?thresholds:float list -> ctx -> sweep_row list
+val gain_threshold_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A3: selective 2-PFU speedup vs gain-ratio threshold
-    (default 0.001, 0.005, 0.02). *)
+    (0.001, 0.005, 0.02). *)
 
-val replacement_sweep : ctx -> sweep_row list
+val replacement_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A4: selective 2-PFU speedup under LRU / FIFO / pseudo-random PFU
     replacement. *)
 
-val machine_sweep : ctx -> sweep_row list
+val machine_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A5: selective 4-PFU speedup on narrower/wider machines
     (2-wide/RUU 32, 4-wide/RUU 64, 8-wide/RUU 128). *)
 
-val latency_model_sweep : ctx -> sweep_row list
+val latency_model_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A6: selective 4-PFU speedup under the paper's single-cycle PFU
     assumption vs the LUT-level delay model
     ({!T1000_hwcost.Lut.latency_estimate}) — the varying-execution-time
     extension the paper suggests in Section 3.1. *)
 
-val branch_predictor_sweep : ctx -> sweep_row list
+val branch_predictor_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A7: selective 4-PFU speedup under perfect branch prediction (the
     paper's assumption) vs a 2K-entry bimodal predictor, each against a
     baseline with the same predictor. *)
 
-val prefetch_sweep : ?penalties:int list -> ctx -> sweep_row list
+val prefetch_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A8: selective 2-PFU speedup with and without [cfgld] configuration
     prefetching, at reconfiguration penalties where loop-entry reloads
-    start to matter (default 100 and 500 cycles). *)
+    start to matter (100 and 500 cycles). *)
 
-val speculation_sweep : ctx -> sweep_row list
+val speculation_sweep : ?journal:Checkpoint.t -> ctx -> sweep_row partial
 (** A9: greedy vs selective 2-PFU speedup under each speculative
     front-end predictor ({!T1000_bpred.Predictor}: perfect, static,
     2K-entry bimodal and gshare), each column against a no-PFU baseline
@@ -156,55 +221,3 @@ val speculation_sweep : ctx -> sweep_row list
     wrong-path fetch polluting the caches and PFU configuration state,
     squashes wasting issue slots — erodes the extended-instruction
     gain the paper measures under its perfect-fetch assumption. *)
-
-(** {1 Fault-isolated, checkpointed driver variants}
-
-    Every driver above has a [*_result] twin that never lets a per-point
-    exception abort the sweep: each (workload x point) task that raises
-    is classified into the {!Fault} taxonomy, the affected workload's
-    row is withheld, and every other row is still returned.  The plain
-    drivers are strict facades that raise {!Fault.Error} on the first
-    fault.
-
-    With [?journal], completed point values are recorded in the
-    {!Checkpoint} journal as they arrive and already-recorded points
-    are served from it without recomputation, so re-running an
-    interrupted sweep against the same journal resumes it — and yields
-    rows byte-identical to an uninterrupted run.
-
-    Test hook: when the [T1000_FAULT_INJECT] environment variable names
-    a workload, every task of that workload raises
-    [Fault.Injected] instead of simulating. *)
-
-val fault_inject_target : unit -> string option
-(** The workload named by [T1000_FAULT_INJECT] (trimmed), if set and
-    non-empty — the test hook above, shared with the DSE engine. *)
-
-type point_fault = {
-  fault_workload : string;
-  fault_point : string;  (** the point's label within its sweep *)
-  fault : Fault.t;
-}
-
-(** Rows for every workload whose points all succeeded, plus one
-    {!point_fault} per failed (workload x point) task, in suite
-    order. *)
-type 'row partial = { rows : 'row list; faults : point_fault list }
-
-val figure2_result : ?journal:Checkpoint.t -> ctx -> f2_row partial
-val table41_result : ?journal:Checkpoint.t -> ctx -> t41_row partial
-val figure6_result : ?journal:Checkpoint.t -> ctx -> f6_row partial
-
-val penalty_sweep_result :
-  ?journal:Checkpoint.t -> ?penalties:int list -> ctx -> s52_row partial
-
-val figure7_result :
-  ?journal:Checkpoint.t -> ctx -> f7_result * point_fault list
-(** The aggregate ({!f7_result}) is computed over the workloads that
-    succeeded; faulted workloads are simply absent from [f7_costs] and
-    the histogram. *)
-
-val ablation_result :
-  ?journal:Checkpoint.t -> ctx -> string -> sweep_row partial option
-(** The fault-isolated twin of the A1-A9 ablation sweeps, dispatched on
-    the ablation id (["a1"] .. ["a9"]); [None] for an unknown id. *)

@@ -5,7 +5,7 @@
     a nonsensical setup, a runaway or deadlocked simulation, a rewriter
     bug caught by output verification, a self-check violation.  Instead
     of letting a raw exception abort the whole figure, the engine
-    ({!Pool.parallel_map_result}, the {!Experiment} [*_result] drivers)
+    ({!Pool.parallel_map_result}, the {!Experiment} drivers)
     classifies every per-point exception into this taxonomy, so callers
     receive partial rows plus a structured, renderable fault report. *)
 

@@ -171,3 +171,77 @@ let pp_faults ppf (faults : Experiment.point_fault list) =
         f.Experiment.fault_point Fault.pp f.Experiment.fault)
     faults;
   Format.fprintf ppf "@]"
+
+(* -------- the artifact registry -------- *)
+
+type artifact = {
+  id : string;
+  banner : string;
+  render :
+    ?journal:Checkpoint.t ->
+    Experiment.ctx ->
+    string * Experiment.point_fault list;
+}
+
+let table id banner pp driver =
+  {
+    id;
+    banner;
+    render =
+      (fun ?journal ctx ->
+        let p = driver ?journal ctx in
+        (Format.asprintf "%a" pp p.Experiment.rows, p.Experiment.faults));
+  }
+
+let sweep id banner title driver = table id banner (pp_sweep ~title) driver
+
+let paper_artifacts =
+  [
+    table "f2" "F2: Figure 2 (greedy)" pp_figure2 Experiment.figure2;
+    table "t41" "T4.1: greedy instruction statistics" pp_table41
+      Experiment.table41;
+    table "f6" "F6: Figure 6 (selective)" pp_figure6 Experiment.figure6;
+    table "s52" "S5.2: reconfiguration-penalty sensitivity" pp_penalty_sweep
+      (fun ?journal ctx -> Experiment.penalty_sweep ?journal ctx);
+    {
+      id = "f7";
+      banner = "F7: Figure 7 (LUT cost distribution)";
+      render =
+        (fun ?journal ctx ->
+          let r, faults = Experiment.figure7 ?journal ctx in
+          (Format.asprintf "%a" pp_figure7 r, faults));
+    };
+  ]
+
+let ablation_artifacts =
+  [
+    sweep "a1" "A1: PFU-count sweep (selective)"
+      "selective speedup vs number of PFUs" Experiment.pfu_count_sweep;
+    sweep "a2" "A2: bitwidth-threshold sweep (greedy, unlimited)"
+      "greedy-unlimited speedup vs width threshold"
+      Experiment.width_threshold_sweep;
+    sweep "a3" "A3: gain-threshold sweep (selective, 2 PFUs)"
+      "selective speedup vs gain-ratio threshold"
+      Experiment.gain_threshold_sweep;
+    sweep "a4" "A4: PFU replacement policy (selective, 2 PFUs)"
+      "selective speedup vs replacement policy" Experiment.replacement_sweep;
+    sweep "a5" "A5: machine-width sensitivity (selective, 4 PFUs)"
+      "speedup vs machine width (per-width baseline)" Experiment.machine_sweep;
+    sweep "a6" "A6: PFU delay model (selective, 4 PFUs)"
+      "speedup: single-cycle PFU vs LUT-level delay model"
+      Experiment.latency_model_sweep;
+    sweep "a7"
+      "A7: branch prediction (selective, 4 PFUs, per-predictor baseline)"
+      "speedup: perfect vs bimodal branch prediction"
+      Experiment.branch_predictor_sweep;
+    sweep "a8" "A8: configuration prefetching (selective, 2 PFUs)"
+      "speedup with/without cfgld preheader prefetch hints"
+      Experiment.prefetch_sweep;
+    sweep "a9" "A9: speculative front end (2 PFUs, per-predictor baseline)"
+      "greedy vs selective speedup per front-end branch predictor"
+      Experiment.speculation_sweep;
+  ]
+
+let artifacts = paper_artifacts @ ablation_artifacts
+let artifact_ids = List.map (fun a -> a.id) artifacts
+let find_artifact id = List.find_opt (fun a -> a.id = id) artifacts

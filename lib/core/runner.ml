@@ -75,10 +75,11 @@ type analysis = {
   live : Liveness.t;
 }
 
-let analyze (w : Workload.t) =
+let analyze ?max_steps (w : Workload.t) =
   T1000_obs.Metrics.time "phase.analyze" @@ fun () ->
   let profile =
-    Profile.collect ~init:(fun mem regs -> w.Workload.init mem regs)
+    Profile.collect ?max_steps
+      ~init:(fun mem regs -> w.Workload.init mem regs)
       w.Workload.program
   in
   let cfg = Cfg.of_program w.Workload.program in

@@ -74,7 +74,10 @@ type analysis = {
   live : Liveness.t;
 }
 
-val analyze : Workload.t -> analysis
+val analyze : ?max_steps:int -> Workload.t -> analysis
+(** Profile the workload and run the static analyses.  [?max_steps]
+    caps the profiling run's functional steps (default: {!Profile.collect}'s),
+    so a non-halting kernel raises [T1000_machine.Interp.Fault]. *)
 
 type run = {
   workload : Workload.t;

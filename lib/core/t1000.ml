@@ -4,7 +4,8 @@
       (baseline / greedy / selective x PFU count x penalty);
     - {!Experiment} — drivers that regenerate every figure and table of
       the paper, plus the ablations listed in DESIGN.md;
-    - {!Report} — text rendering of experiment results;
+    - {!Report} — text rendering of experiment results, and the
+      registry of every paper artifact and ablation;
     - {!Pool} — the [Domain]-based worker pool the experiment engine
       fans sweeps out on ([T1000_NJOBS] workers);
     - {!Memo} — the compute-once memo table backing the analysis,
@@ -12,7 +13,7 @@
     - {!Fault} — the typed fault taxonomy the fault-isolated drivers
       classify per-point failures into;
     - {!Checkpoint} — the checkpoint/resume journal behind the
-      [*_result] drivers' [?journal] argument;
+      drivers' [?journal] argument;
     - {!Obs} — the deterministic telemetry subsystem (metrics, spans,
       Chrome-trace export); strictly observational, never on stdout. *)
 

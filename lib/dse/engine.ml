@@ -60,104 +60,37 @@ let eval_point ctx p =
   in
   combine p per
 
-let journal_key p (w : Workload.t) =
-  Printf.sprintf "dse/%s/%s" (Space.key p) w.Workload.name
-
-(* Evaluate one wave of points: fan (point x workload) tasks over the
-   pool, journal completions, regroup per point.  Returns, in wave
-   order, each point's measurement ([None] when any of its workloads
-   faulted) plus the per-task faults. *)
+(* Evaluate one wave of points on Experiment's fault-isolated fan-out,
+   one group of (point x workload) tasks per point, journaled under
+   [dse/<point key>/<workload>].  Returns, in wave order, each point's
+   measurement ([None] when any of its workloads faulted) plus the
+   per-task faults. *)
 let evaluate_wave ?journal ctx wave =
   T1000_obs.Tracer.with_span ~cat:"dse" "dse.wave" @@ fun () ->
   let suite = T1000.Experiment.workloads ctx in
-  (* same test hook as the Experiment drivers *)
-  let inject = T1000.Experiment.fault_inject_target () in
-  let tasks =
-    List.concat_map (fun p -> List.map (fun w -> (p, w)) suite) wave
+  let outcomes =
+    T1000.Experiment.fan_out ?journal
+      ~on_cached:(fun () -> T1000_obs.Metrics.incr "dse.cached")
+      ~key:(fun (w : Workload.t) p ->
+        Printf.sprintf "dse/%s/%s" (Space.key p) w.Workload.name)
+      ~label:Space.key
+      (List.map (fun p -> List.map (fun w -> (w, p)) suite) wave)
+      (fun w p ->
+        T1000_obs.Metrics.incr "dse.sim_tasks";
+        eval_task ctx p w)
   in
-  let eval (p, (w : Workload.t)) =
-    (match inject with
-    | Some name when name = w.Workload.name ->
-        raise
-          (T1000.Fault.Error
-             (T1000.Fault.Injected
-                (Printf.sprintf "T1000_FAULT_INJECT=%s hit point %s" name
-                   (journal_key p w))))
-    | Some _ | None -> ());
-    T1000_obs.Metrics.incr "dse.sim_tasks";
-    eval_task ctx p w
-  in
-  let results =
-    match journal with
-    | None -> T1000.Pool.parallel_map_result eval tasks
-    | Some j ->
-        let task_arr = Array.of_list tasks in
-        let out = Array.make (Array.length task_arr) None in
-        let todo = ref [] in
-        Array.iteri
-          (fun i t ->
-            match T1000.Checkpoint.find j ~key:(journal_key (fst t) (snd t)) with
-            | Some v ->
-                T1000_obs.Metrics.incr "dse.cached";
-                out.(i) <- Some (Ok v)
-            | None -> todo := i :: !todo)
-          task_arr;
-        let todo = Array.of_list (List.rev !todo) in
-        T1000.Pool.parallel_map_result
-          ~on_result:(fun k r ->
-            match r with
-            | Ok v ->
-                let p, w = task_arr.(todo.(k)) in
-                T1000.Checkpoint.record j ~key:(journal_key p w) v
-            | Error _ -> ())
-          (fun i -> eval task_arr.(i))
-          (Array.to_list todo)
-        |> List.iteri (fun k r -> out.(todo.(k)) <- Some r);
-        Array.to_list
-          (Array.map (function Some r -> r | None -> assert false) out)
-  in
-  let n_wl = List.length suite in
-  let rec chunk acc rs =
-    match rs with
-    | [] -> List.rev acc
-    | _ ->
-        let rec take k rs acc' =
-          if k = 0 then (List.rev acc', rs)
-          else
-            match rs with
-            | r :: tl -> take (k - 1) tl (r :: acc')
-            | [] -> assert false
-        in
-        let c, rest = take n_wl rs [] in
-        chunk (c :: acc) rest
-  in
-  let grouped = List.combine wave (chunk [] results) in
-  let faults = ref [] in
-  let out =
-    List.map
-      (fun (p, rs) ->
-        if List.for_all Result.is_ok rs then
-          (p, Some (combine p (List.map2 (fun (w : Workload.t) r ->
-               (w.Workload.name, Result.get_ok r)) suite rs)))
-        else begin
-          List.iter2
-            (fun (w : Workload.t) r ->
-              match r with
-              | Ok _ -> ()
-              | Error fault ->
-                  faults :=
-                    {
-                      T1000.Experiment.fault_workload = w.Workload.name;
-                      fault_point = Space.key p;
-                      fault;
-                    }
-                    :: !faults)
-            suite rs;
-          (p, None)
-        end)
-      grouped
-  in
-  (out, List.rev !faults)
+  ( List.map2
+      (fun p -> function
+        | Ok vs ->
+            ( p,
+              Some
+                (combine p
+                   (List.map2
+                      (fun (w : Workload.t) v -> (w.Workload.name, v))
+                      suite vs)) )
+        | Error _ -> (p, None))
+      wave outcomes,
+    List.concat_map (function Ok _ -> [] | Error fs -> fs) outcomes )
 
 let default_budget = 64
 

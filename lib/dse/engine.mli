@@ -24,7 +24,7 @@
     property suite asserts this).
 
     {b Determinism and resume.}  Waves are fanned out over
-    {!T1000.Pool.parallel_map_result} and reassembled in input order;
+    {!T1000.Experiment.fan_out} and reassembled in input order;
     every decision (wave make-up, pruning, refinement proposals) is
     plain code over the measured values in canonical {!Space} order, so
     the result — and the rendered frontier — is byte-identical at any

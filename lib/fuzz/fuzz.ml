@@ -276,7 +276,7 @@ let chaos_soak ?(p = 0.2) ~seed () =
   else
     let sweep () =
       let ctx = Experiment.create_ctx ~workloads:suite () in
-      Experiment.penalty_sweep_result ~penalties:[ 10; 100 ] ctx
+      Experiment.penalty_sweep ~penalties:[ 10; 100 ] ctx
     in
     let calm = with_env "T1000_CHAOS" "" sweep in
     if calm.Experiment.faults <> [] then

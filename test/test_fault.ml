@@ -429,7 +429,7 @@ let suite () = [ workload "unepic"; workload "g721_dec" ]
 let test_injected_fault_isolated () =
   with_env "T1000_FAULT_INJECT" "g721_dec" (fun () ->
       let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
-      let p = Experiment.penalty_sweep_result ~penalties:[ 10 ] ctx in
+      let p = Experiment.penalty_sweep ~penalties:[ 10 ] ctx in
       check_int "unaffected workload's row arrives" 1
         (List.length p.Experiment.rows);
       check_bool "and it is the right one" true
@@ -444,9 +444,9 @@ let test_injected_fault_isolated () =
         match f.Experiment.fault with
         | Fault.Injected _ -> true
         | _ -> false);
-      (* the strict facade turns the same fault into an exception *)
+      (* strict turns the same fault into an exception *)
       check_bool "strict driver raises" true
-        (match Experiment.penalty_sweep ~penalties:[ 10 ] ctx with
+        (match Experiment.strict p with
         | _ -> false
         | exception Fault.Error (Fault.Injected _) -> true))
 
@@ -458,7 +458,7 @@ let test_kill_and_resume () =
   (* reference: one uninterrupted, journal-free run *)
   let clean =
     let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
-    Experiment.penalty_sweep_result ~penalties ctx
+    Experiment.penalty_sweep ~penalties ctx
   in
   check_bool "reference run is clean" true (clean.Experiment.faults = []);
   (* "killed" run: g721_dec faults mid-sweep, unepic's points land in
@@ -466,7 +466,7 @@ let test_kill_and_resume () =
   with_env "T1000_FAULT_INJECT" "g721_dec" (fun () ->
       let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
       let j = Checkpoint.create ~fresh:true ~dir ~run:"s52" () in
-      let p = Experiment.penalty_sweep_result ~journal:j ~penalties ctx in
+      let p = Experiment.penalty_sweep ~journal:j ~penalties ctx in
       check_int "partial rows" 1 (List.length p.Experiment.rows);
       check_int "faults reported" 2 (List.length p.Experiment.faults);
       check_int "completed points journaled" 2 (Checkpoint.completed j));
@@ -474,7 +474,7 @@ let test_kill_and_resume () =
   let resumed =
     let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
     let j = Checkpoint.create ~dir ~run:"s52" () in
-    Experiment.penalty_sweep_result ~journal:j ~penalties ctx
+    Experiment.penalty_sweep ~journal:j ~penalties ctx
   in
   check_bool "resume completes" true (resumed.Experiment.faults = []);
   check_bool "resumed rows identical to uninterrupted run" true
@@ -488,7 +488,7 @@ let test_kill_and_resume () =
     let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
     let j = Checkpoint.create ~dir ~run:"s52" () in
     check_int "corrupt record detected" 1 (List.length (Checkpoint.corrupt j));
-    Experiment.penalty_sweep_result ~journal:j ~penalties ctx
+    Experiment.penalty_sweep ~journal:j ~penalties ctx
   in
   check_bool "recovered rows identical too" true
     (recovered.Experiment.faults = []

@@ -39,81 +39,32 @@ let ctx =
             golden_workloads)
        ())
 
-(* Exactly the renderings bench/main.exe prints (minus the banner), so
-   the snapshots double as a regression net for the bench output. *)
+(* Every registry artifact, exactly as bench/main.exe prints it (minus
+   the banner), so the snapshots double as a regression net for the
+   bench output; plus a small fixed-space DSE frontier. *)
 let artifacts : (string * (Experiment.ctx -> string)) list =
-  [
-    ("f2", fun c -> Format.asprintf "%a" Report.pp_figure2 (Experiment.figure2 c));
-    ( "t41",
-      fun c -> Format.asprintf "%a" Report.pp_table41 (Experiment.table41 c) );
-    ("f6", fun c -> Format.asprintf "%a" Report.pp_figure6 (Experiment.figure6 c));
-    ( "s52",
-      fun c ->
-        Format.asprintf "%a" Report.pp_penalty_sweep (Experiment.penalty_sweep c)
-    );
-    ("f7", fun c -> Format.asprintf "%a" Report.pp_figure7 (Experiment.figure7 c));
-    ( "a1",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs number of PFUs")
-          (Experiment.pfu_count_sweep c) );
-    ( "a2",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"greedy-unlimited speedup vs width threshold")
-          (Experiment.width_threshold_sweep c) );
-    ( "a3",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs gain-ratio threshold")
-          (Experiment.gain_threshold_sweep c) );
-    ( "a4",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep ~title:"selective speedup vs replacement policy")
-          (Experiment.replacement_sweep c) );
-    ( "a5",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup vs machine width (per-width baseline)")
-          (Experiment.machine_sweep c) );
-    ( "a6",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup: single-cycle PFU vs LUT-level delay model")
-          (Experiment.latency_model_sweep c) );
-    ( "a7",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup: perfect vs bimodal branch prediction")
-          (Experiment.branch_predictor_sweep c) );
-    ( "a8",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:"speedup with/without cfgld preheader prefetch hints")
-          (Experiment.prefetch_sweep c) );
-    ( "a9",
-      fun c ->
-        Format.asprintf "%a"
-          (Report.pp_sweep
-             ~title:
-               "greedy vs selective speedup per front-end branch predictor")
-          (Experiment.speculation_sweep c) );
-    ( "dse",
-      fun c ->
-        Format.asprintf "%a" T1000_dse.Engine.pp_frontier
-          (T1000_dse.Engine.explore ~budget:12 c
-             (match
-                T1000_dse.Space.of_spec
-                  "pfus=1,2,4:penalty=0,100,500:lut=150:repl=lru:gain=0.005:width=4"
-              with
-             | Ok s -> s
-             | Error e -> Alcotest.failf "golden dse space: %s" e)) );
-  ]
+  List.map
+    (fun (a : Report.artifact) ->
+      ( a.Report.id,
+        fun c ->
+          match a.Report.render c with
+          | text, [] -> text
+          | _, f :: _ ->
+              Alcotest.failf "%s faulted: %a" a.Report.id Fault.pp
+                f.Experiment.fault ))
+    Report.artifacts
+  @ [
+      ( "dse",
+        fun c ->
+          Format.asprintf "%a" T1000_dse.Engine.pp_frontier
+            (T1000_dse.Engine.explore ~budget:12 c
+               (match
+                  T1000_dse.Space.of_spec
+                    "pfus=1,2,4:penalty=0,100,500:lut=150:repl=lru:gain=0.005:width=4"
+                with
+               | Ok s -> s
+               | Error e -> Alcotest.failf "golden dse space: %s" e)) );
+    ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -244,6 +195,45 @@ let check name render () =
             name path line g w
       | None -> Alcotest.failf "%s differs from %s (whitespace only?)" name path
 
+(* The CLI prints the same registry renderings, each followed by a
+   newline: `t1000 experiment f2 a4` on the golden suite must reproduce
+   the two snapshots byte for byte. *)
+let test_cli_matches_goldens () =
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "t1000_cli.exe"))
+  in
+  let env =
+    Array.append
+      [| "T1000_WORKLOADS=" ^ String.concat "," golden_workloads |]
+      (Unix.environment ())
+  in
+  let ((out, inp, err) as p) =
+    Unix.open_process_args_full cli [| cli; "experiment"; "f2"; "a4" |] env
+  in
+  close_out inp;
+  let got = In_channel.input_all out in
+  let errors = In_channel.input_all err in
+  (match Unix.close_process_full p with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "t1000 experiment f2 a4 failed: %s" errors);
+  let want =
+    String.concat ""
+      (List.map
+         (fun id -> read_file (Filename.concat golden_dir (id ^ ".txt")) ^ "\n")
+         [ "f2"; "a4" ])
+  in
+  if not (String.equal got want) then
+    match first_divergence got want with
+    | Some (line, g, w) ->
+        Alcotest.failf
+          "t1000 experiment f2 a4 drifted from the goldens at line %d:@\n\
+          \  output: %s@\n\
+          \  golden: %s"
+          line g w
+    | None -> Alcotest.fail "t1000 experiment f2 a4 differs from the goldens"
+
 let () =
   Alcotest.run "golden"
     [
@@ -254,4 +244,7 @@ let () =
               (check name (fun () -> render (Lazy.force ctx))))
           artifacts );
       ("ledger", [ Alcotest.test_case "stats" `Slow (check "stats" stats_ledger) ]);
+      ( "cli",
+        [ Alcotest.test_case "experiment f2 a4" `Slow test_cli_matches_goldens ]
+      );
     ]

@@ -132,7 +132,7 @@ let small_ctx =
        ())
 
 let test_experiment_figure2 () =
-  let rows = Experiment.figure2 (Lazy.force small_ctx) in
+  let rows = Experiment.strict (Experiment.figure2 (Lazy.force small_ctx)) in
   check_int "one row per benchmark" 2 (List.length rows);
   List.iter
     (fun (r : Experiment.f2_row) ->
@@ -142,7 +142,7 @@ let test_experiment_figure2 () =
     rows
 
 let test_experiment_figure6 () =
-  let rows = Experiment.figure6 (Lazy.force small_ctx) in
+  let rows = Experiment.strict (Experiment.figure6 (Lazy.force small_ctx)) in
   List.iter
     (fun (r : Experiment.f6_row) ->
       check_bool "selective never hurts" true (r.Experiment.f6_sel_2 >= 0.99);
@@ -152,7 +152,8 @@ let test_experiment_figure6 () =
     rows
 
 let test_experiment_figure7 () =
-  let f7 = Experiment.figure7 (Lazy.force small_ctx) in
+  let f7, faults = Experiment.figure7 (Lazy.force small_ctx) in
+  check_bool "no faults" true (faults = []);
   check_bool "all costs under budget" true (f7.Experiment.f7_max <= 150);
   check_int "per-benchmark cost lists" 2
     (List.length f7.Experiment.f7_costs);
@@ -161,7 +162,7 @@ let test_experiment_figure7 () =
     = List.length (List.concat_map snd f7.Experiment.f7_costs))
 
 let test_experiment_table41 () =
-  let rows = Experiment.table41 (Lazy.force small_ctx) in
+  let rows = Experiment.strict (Experiment.table41 (Lazy.force small_ctx)) in
   List.iter
     (fun (r : Experiment.t41_row) ->
       check_bool "distinct >= 1" true (r.Experiment.t41_distinct >= 1);
@@ -173,13 +174,15 @@ let test_experiment_table41 () =
 
 let test_reports_render () =
   let ctx = Lazy.force small_ctx in
-  let s1 = Format.asprintf "%a" Report.pp_figure2 (Experiment.figure2 ctx) in
-  let s2 = Format.asprintf "%a" Report.pp_figure6 (Experiment.figure6 ctx) in
-  let s3 = Format.asprintf "%a" Report.pp_figure7 (Experiment.figure7 ctx) in
-  let s4 = Format.asprintf "%a" Report.pp_table41 (Experiment.table41 ctx) in
   List.iter
-    (fun s -> check_bool "non-empty render" true (String.length s > 50))
-    [ s1; s2; s3; s4 ]
+    (fun id ->
+      match Report.find_artifact id with
+      | None -> Alcotest.failf "no artifact %s" id
+      | Some a ->
+          let s, faults = a.Report.render ctx in
+          check_bool "no faults" true (faults = []);
+          check_bool "non-empty render" true (String.length s > 50))
+    [ "f2"; "f6"; "f7"; "t41" ]
 
 let () =
   Alcotest.run "t1000_integration"

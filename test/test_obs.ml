@@ -197,7 +197,8 @@ let small_suite () =
 
 let figure2_text () =
   let ctx = Experiment.create_ctx ~workloads:(small_suite ()) () in
-  Format.asprintf "%a" Report.pp_figure2 (Experiment.figure2 ctx)
+  Format.asprintf "%a" Report.pp_figure2
+    (Experiment.strict (Experiment.figure2 ctx))
 
 let test_byte_identity_with_tracing () =
   Metrics.reset ();

@@ -115,9 +115,11 @@ let suite () = [ workload "unepic"; workload "g721_dec" ]
 let rows ~njobs =
   with_njobs (string_of_int njobs) (fun () ->
       let ctx = Experiment.create_ctx ~workloads:(suite ()) () in
-      let f2 = Experiment.figure2 ctx in
-      let f6 = Experiment.figure6 ctx in
-      let s52 = Experiment.penalty_sweep ~penalties:[ 10; 100 ] ctx in
+      let f2 = Experiment.strict (Experiment.figure2 ctx) in
+      let f6 = Experiment.strict (Experiment.figure6 ctx) in
+      let s52 =
+        Experiment.strict (Experiment.penalty_sweep ~penalties:[ 10; 100 ] ctx)
+      in
       (f2, f6, s52))
 
 let test_parallel_matches_sequential () =
@@ -134,7 +136,9 @@ let test_selection_cache () =
   let ctx = Experiment.create_ctx ~workloads:[ w ] () in
   (* A penalty sweep must run selection once: every swept point returns
      the physically same table. *)
-  ignore (Experiment.penalty_sweep ~penalties:[ 10; 50; 100 ] ctx);
+  ignore
+    (Experiment.strict
+       (Experiment.penalty_sweep ~penalties:[ 10; 50; 100 ] ctx));
   let sel p = Runner.setup ~n_pfus:(Some 2) ~penalty:p Runner.Selective in
   let t10 = Experiment.selection_table ctx w (sel 10) in
   let t50 = Experiment.selection_table ctx w (sel 50) in
