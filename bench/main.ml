@@ -13,7 +13,7 @@
      dune exec bench/main.exe -- speed     # engine timing -> BENCH_engine.json
      dune exec bench/main.exe -- serve     # daemon load    -> BENCH_serve.json
 
-   Environment:
+   Environment (every knob is listed in lib/core/env.mli):
      T1000_NJOBS      worker count for the experiment engine (1 = serial)
      T1000_WORKLOADS  comma-separated subset of the benchmark suite,
                       e.g. T1000_WORKLOADS=unepic,epic for a smoke run *)
@@ -21,7 +21,7 @@
 open T1000
 
 let ctx =
-  lazy (Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ())
+  lazy (Experiment.create_ctx ~workloads:(Env.workloads ()) ())
 
 let banner title = Format.printf "@.==== %s ====@.@." title
 
@@ -157,7 +157,7 @@ let time_suite ~njobs =
   Unix.putenv "T1000_NJOBS" (string_of_int njobs);
   Obs.Metrics.reset ();
   let ctx =
-    Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+    Experiment.create_ctx ~workloads:(Env.workloads ()) ()
   in
   let timings =
     List.map
@@ -191,12 +191,12 @@ let json_of_leg oc ~njobs ~total timings phases =
 
 let run_speed () =
   banner "SPEED: experiment-engine wall clock (sequential vs parallel)";
-  let saved_njobs = Sys.getenv_opt "T1000_NJOBS" in
+  let saved_njobs = Env.njobs () in
+  (* An explicit T1000_NJOBS=1 still times a parallel leg, on every
+     recommended domain. *)
   let par_njobs =
-    match saved_njobs with
-    | Some s when (try int_of_string (String.trim s) > 1 with _ -> false) ->
-        int_of_string (String.trim s)
-    | Some _ | None -> Domain.recommended_domain_count ()
+    if saved_njobs > 1 then saved_njobs
+    else Domain.recommended_domain_count ()
   in
   let seq_total, seq_timings, seq_phases = time_suite ~njobs:1 in
   (* On a single-core machine a "parallel" leg would just re-time the
@@ -209,10 +209,7 @@ let run_speed () =
     end
     else Some (time_suite ~njobs:par_njobs)
   in
-  (match saved_njobs with
-  | Some s -> Unix.putenv "T1000_NJOBS" s
-  | None -> Unix.putenv "T1000_NJOBS" "")
-  ;
+  Unix.putenv "T1000_NJOBS" (string_of_int saved_njobs);
   let fuzz =
     let dir = Filename.temp_file "t1000_bench_fuzz" "" in
     Sys.remove dir;
@@ -224,7 +221,7 @@ let run_speed () =
   let dse =
     let t0 = Unix.gettimeofday () in
     let ctx =
-      Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+      Experiment.create_ctx ~workloads:(Env.workloads ()) ()
     in
     let r =
       T1000_dse.Engine.explore ~budget:dse_budget ctx T1000_dse.Space.default
@@ -246,7 +243,7 @@ let run_speed () =
        wrong-path fetch, the Minstr/s deltas its engine cost. *)
     let module Bp = T1000_bpred.Predictor in
     let ctx =
-      Experiment.create_ctx ~workloads:(Experiment.env_workloads ()) ()
+      Experiment.create_ctx ~workloads:(Env.workloads ()) ()
     in
     let setup_for bp =
       let machine =
@@ -256,7 +253,7 @@ let run_speed () =
     in
     List.iter
       (fun w -> ignore (Experiment.run_setup ctx w (setup_for Bp.Perfect)))
-      (Experiment.env_workloads ());
+      (Env.workloads ());
     List.map
       (fun (label, bp) ->
         let s = setup_for bp in
@@ -267,7 +264,7 @@ let run_speed () =
               let r = Experiment.run_setup ctx w s in
               ( cy + r.Runner.stats.T1000_ooo.Stats.cycles,
                 co + r.Runner.stats.T1000_ooo.Stats.committed ))
-            (0, 0) (Experiment.env_workloads ())
+            (0, 0) (Env.workloads ())
         in
         let dt = Unix.gettimeofday () -. t0 in
         let mips =
@@ -301,7 +298,7 @@ let run_speed () =
        (List.map
           (fun (w : T1000_workloads.Workload.t) ->
             Printf.sprintf "\"%s\"" w.T1000_workloads.Workload.name)
-          (Experiment.env_workloads ())));
+          (Env.workloads ())));
   json_of_leg oc ~njobs:1 ~total:seq_total seq_timings seq_phases;
   Printf.fprintf oc ",\n  \"parallel\": ";
   (match par with
@@ -367,17 +364,6 @@ let run_speed () =
 module Sproto = T1000_serve.Protocol
 module Sserver = T1000_serve.Server
 module Sclient = T1000_serve.Client
-
-let serve_bench_requests () =
-  match Sys.getenv_opt "T1000_SERVE_BENCH_REQUESTS" with
-  | None | Some "" -> 8
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          Format.eprintf
-            "T1000_SERVE_BENCH_REQUESTS must be a positive integer@.";
-          exit 2)
 
 (* ~8k loop iterations: a simulation in the low tens of milliseconds,
    so a load leg exercises queueing rather than one giant sim. *)
@@ -462,116 +448,11 @@ let serve_leg ~clients ~requests ~queue ~njobs kernel =
     pct 95.,
     latencies.(Array.length latencies - 1) )
 
-(* Supervised tier under fire: [replicas] real child daemons behind the
-   failover client, one replica SIGKILLed mid-load.  The numbers that
-   matter: zero dropped requests, the restart count, and how little the
-   tail latency moves while a third of the tier is being respawned. *)
-let supervised_leg ~replicas ~clients ~requests kernel =
-  let cli_exe =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "t1000_cli.exe"))
-  in
-  let cfg =
-    {
-      T1000_serve.Supervisor.exe = cli_exe;
-      replicas;
-      socket_dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "t1000-bench-sup-%d" (Unix.getpid ()));
-      restarts = 5;
-      health_period_s = 0.2;
-      health_timeout_s = 1.0;
-      wedged_after = 100;
-      drain_grace_s = 10.0;
-      serve_args = [ "--jobs"; "2"; "--queue"; "128" ];
-    }
-  in
-  let sup = T1000_serve.Supervisor.create cfg in
-  let th = Thread.create T1000_serve.Supervisor.run sup in
-  (match T1000_serve.Supervisor.wait_ready ~timeout_s:30.0 sup with
-  | Ok () -> ()
-  | Error m ->
-      Format.eprintf "serve bench: supervised tier not ready: %s@." m;
-      exit 1);
-  let addrs = T1000_serve.Supervisor.sockets sup in
-  let latencies = Array.make (clients * requests) 0.0 in
-  let ok = Atomic.make 0 and shed = Atomic.make 0 and errors = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let fo = T1000_serve.Client.Failover.create ~cycles:8 addrs in
-            Fun.protect
-              ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
-            @@ fun () ->
-            for r = 0 to requests - 1 do
-              let i = (ci * requests) + r in
-              let sel =
-                {
-                  Sproto.kernel;
-                  method_ = `Selective;
-                  pfus = Some 2;
-                  penalty = i (* unique: defeat the result cache *);
-                  max_cycles = None;
-                  deadline_ms = None;
-                }
-              in
-              let s = Unix.gettimeofday () in
-              (match T1000_serve.Client.Failover.request fo sel with
-              | Ok (`Outcome _) -> Atomic.incr ok
-              | Ok (`Error (Sproto.Overloaded, _)) -> Atomic.incr shed
-              | Ok _ | Error _ -> Atomic.incr errors);
-              latencies.(i) <- (Unix.gettimeofday () -. s) *. 1e3
-            done)
-          ())
-  in
-  (* Let the load ramp, then murder one replica outright. *)
-  Thread.delay 0.05;
-  let killed =
-    match T1000_serve.Supervisor.pids sup with
-    | pid :: _ when pid > 0 ->
-        Unix.kill pid Sys.sigkill;
-        true
-    | _ -> false
-  in
-  List.iter Thread.join threads;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* Give the monitor a moment to observe the kill, so the reported
-     restart count reflects the respawn even on very short runs. *)
-  if killed then begin
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while
-      T1000_serve.Supervisor.restarts_total sup = 0
-      && Unix.gettimeofday () < deadline
-    do
-      Thread.delay 0.02
-    done
-  end;
-  T1000_serve.Supervisor.stop sup;
-  Thread.join th;
-  let restarts = T1000_serve.Supervisor.restarts_total sup in
-  Array.sort compare latencies;
-  let pct p =
-    let n = Array.length latencies in
-    latencies.(max 0 (min (n - 1) (int_of_float (p /. 100. *. float_of_int n))))
-  in
-  ( elapsed,
-    Atomic.get ok,
-    Atomic.get shed,
-    Atomic.get errors,
-    restarts,
-    pct 50.,
-    pct 95.,
-    latencies.(Array.length latencies - 1) )
-
 let run_serve () =
   banner "SERVE: daemon load benchmark";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let requests = serve_bench_requests () in
-  let njobs = Pool.default_njobs () in
+  let requests = Env.serve_bench_requests () in
+  let njobs = Env.njobs () in
   let levels = [ 1; 8; 64 ] in
   let legs =
     List.map
@@ -603,23 +484,6 @@ let run_serve () =
      %d/%d (%.0f%%), ok %d, errors %d@."
     o_clients o_requests o_elapsed o_shed o_total (100. *. o_rate) o_ok
     o_errors;
-  (* Supervised tier with a mid-load SIGKILL: the crash drill as a
-     benchmark.  Zero errors is the pass condition; the restart count
-     and tail latencies quantify the blast radius. *)
-  let s_replicas = 3 and s_clients = 8 in
-  let s_requests = max 2 (requests / 2) in
-  let s_elapsed, s_ok, s_shed, s_errors, s_restarts, s_p50, s_p95, s_pmax =
-    supervised_leg ~replicas:s_replicas ~clients:s_clients
-      ~requests:s_requests serve_bench_kernel
-  in
-  let s_total = s_clients * s_requests in
-  Format.printf
-    "  supervised %d replicas, %d clients x %d req + SIGKILL: %6.2f s  \
-     %7.1f req/s  p50 %6.1f ms  p95 %6.1f ms  (ok %d, shed %d, errors %d, \
-     restarts %d)@."
-    s_replicas s_clients s_requests s_elapsed
-    (float_of_int s_total /. s_elapsed)
-    s_p50 s_p95 s_ok s_shed s_errors s_restarts;
   let oc = open_out "BENCH_serve.json" in
   Printf.fprintf oc
     "{\n\
@@ -645,15 +509,9 @@ let run_serve () =
     \  ],\n\
     \  \"overload\": { \"clients\": %d, \"requests\": %d, \"queue_depth\": \
      1, \"njobs\": 1, \"seconds\": %.3f, \"ok\": %d, \"shed\": %d, \
-     \"errors\": %d, \"shed_rate\": %.3f },\n\
-    \  \"supervised\": { \"replicas\": %d, \"clients\": %d, \"requests\": \
-     %d, \"sigkill_mid_load\": true, \"seconds\": %.3f, \"ok\": %d, \
-     \"shed\": %d, \"errors\": %d, \"restarts\": %d, \"latency_ms\": { \
-     \"p50\": %.2f, \"p95\": %.2f, \"max\": %.2f } }\n\
+     \"errors\": %d, \"shed_rate\": %.3f }\n\
      }\n"
-    o_clients o_total o_elapsed o_ok o_shed o_errors o_rate s_replicas
-    s_clients s_total s_elapsed s_ok s_shed s_errors s_restarts s_p50 s_p95
-    s_pmax;
+    o_clients o_total o_elapsed o_ok o_shed o_errors o_rate;
   close_out oc;
   Format.printf "wrote BENCH_serve.json@."
 
@@ -678,6 +536,8 @@ let () =
             exit 2)
   in
   try
+    (* A bad T1000_* knob exits 2 before anything runs. *)
+    Env.validate ();
     match args with
     | [] -> List.iter run_artifact Report.artifacts
     | _ -> List.iter run args

@@ -25,36 +25,6 @@ let with_faults f =
       Format.eprintf "t1000_cli: %s@." (T1000.Fault.to_string fault);
       exit (T1000.Fault.exit_code fault)
 
-(* Surface a bad T1000_* environment variable as a one-line error (exit
-   code 2) before any command runs, instead of an exception mid-sweep. *)
-let validate_env () =
-  try
-    ignore (T1000.Pool.default_njobs ());
-    ignore (T1000.Experiment.env_workloads ());
-    ignore (T1000_ooo.Sim.env_max_cycles ());
-    ignore (T1000.Fault.getenv_bool "T1000_SELFCHECK");
-    ignore (T1000_bpred.Predictor.env_spec ());
-    ignore (T1000.Pool.env_chaos ());
-    ignore (T1000.Pool.env_chaos_seed ());
-    ignore (T1000.Pool.env_retries ());
-    ignore (T1000.Fault.getenv_bool "T1000_METRICS");
-    ignore (T1000.Checkpoint.default_dir_validated ());
-    ignore (T1000.Pool.env_backoff_scale ());
-    ignore (T1000_serve.Server.env_queue_depth ());
-    ignore (T1000_serve.Server.env_deadline_ms ());
-    ignore (T1000_serve.Server.env_addr ());
-    ignore (T1000.Memo.env_cap ());
-    ignore (T1000_serve.Supervisor.env_replicas ());
-    ignore (T1000_serve.Supervisor.env_restarts ());
-    ignore (T1000_serve.Supervisor.env_health_ms ())
-  with
-  | Invalid_argument msg ->
-      Format.eprintf "t1000_cli: %s@." msg;
-      exit 2
-  | T1000.Fault.Error fault ->
-      Format.eprintf "t1000_cli: %s@." (T1000.Fault.to_string fault);
-      exit 2
-
 (* --trace FILE: switch the span tracer on and write the Chrome trace
    at process exit.  Registered via at_exit, not Fun.protect, so the
    trace still lands on the fault paths that call [exit 2]/[exit 3]. *)
@@ -278,7 +248,9 @@ let replay_cmd =
         let rw = T1000_select.Rewrite.apply w.T1000_workloads.Workload.program table in
         T1000.Runner.verify_outputs w table rw.T1000_select.Rewrite.program;
         let machine =
-          T1000_ooo.Mconfig.with_pfus ~penalty pfus T1000_ooo.Mconfig.default
+          T1000.Env.apply_max_cycles
+            (T1000_ooo.Mconfig.with_pfus ~penalty pfus
+               T1000_ooo.Mconfig.default)
         in
         let ext_latency eid =
           (T1000_select.Extinstr.get table eid).T1000_select.Extinstr.latency
@@ -380,11 +352,11 @@ let experiment_cmd =
     | Some n -> Unix.putenv "T1000_NJOBS" (string_of_int n)
     | None -> ());
     if selfcheck then Unix.putenv "T1000_SELFCHECK" "1";
-    let checkpoint_dir = T1000.Checkpoint.default_dir () in
+    let checkpoint_dir = T1000.Env.checkpoint_dir () in
     if resume && checkpoint_dir = None then begin
       Format.eprintf
-        "t1000_cli: --resume needs %s to point at the journal directory@."
-        T1000.Checkpoint.env_var;
+        "t1000_cli: --resume needs T1000_CHECKPOINT_DIR to point at the \
+         journal directory@.";
       exit 2
     end;
     (* Every id is checked against the registry before anything runs. *)
@@ -402,7 +374,7 @@ let experiment_cmd =
     in
     let ctx =
       T1000.Experiment.create_ctx
-        ~workloads:(T1000.Experiment.env_workloads ())
+        ~workloads:(T1000.Env.workloads ())
         ()
     in
     (* One journal file per experiment id; a plain (non --resume) run
@@ -485,11 +457,11 @@ let dse_cmd =
               Format.eprintf "t1000_cli: bad --axes: %s@." msg;
               exit 2)
     in
-    let checkpoint_dir = T1000.Checkpoint.default_dir () in
+    let checkpoint_dir = T1000.Env.checkpoint_dir () in
     if resume && checkpoint_dir = None then begin
       Format.eprintf
-        "t1000_cli: --resume needs %s to point at the journal directory@."
-        T1000.Checkpoint.env_var;
+        "t1000_cli: --resume needs T1000_CHECKPOINT_DIR to point at the \
+         journal directory@.";
       exit 2
     end;
     with_faults @@ fun () ->
@@ -507,7 +479,7 @@ let dse_cmd =
     in
     let ctx =
       T1000.Experiment.create_ctx
-        ~workloads:(T1000.Experiment.env_workloads ())
+        ~workloads:(T1000.Env.workloads ())
         ()
     in
     let r =
@@ -773,9 +745,9 @@ let fuzz_cmd =
 let addr_conv =
   Arg.conv
     ( (fun s ->
-        Result.map_error (fun e -> `Msg e) (T1000_serve.Server.parse_addr s)),
+        Result.map_error (fun e -> `Msg e) (T1000.Env.parse_addr s)),
       fun ppf a ->
-        Format.pp_print_string ppf (T1000_serve.Server.addr_to_string a) )
+        Format.pp_print_string ppf (T1000.Env.addr_to_string a) )
 
 let serve_cmd =
   let run socket tcp queue jobs deadline retries max_steps trace =
@@ -816,7 +788,7 @@ let serve_cmd =
     List.iter
       (fun a ->
         Format.printf "t1000 serve: listening on %s@."
-          (T1000_serve.Server.addr_to_string a))
+          (T1000.Env.addr_to_string a))
       (T1000_serve.Server.bound_addrs t);
     let stop _ = T1000_serve.Server.stop t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -895,198 +867,26 @@ let serve_cmd =
       const run $ socket $ tcp $ queue $ jobs $ deadline $ retries
       $ max_steps $ trace_arg)
 
-let supervise_cmd =
-  let run replicas socket_dir restarts health_ms grace queue jobs deadline
-      max_steps trace =
-    with_faults @@ fun () ->
-    setup_trace trace;
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let base = T1000_serve.Supervisor.default_config () in
-    let serve_args =
-      (match queue with
-      | Some n -> [ "--queue"; string_of_int n ]
-      | None -> [])
-      @ (match jobs with
-        | Some n -> [ "--jobs"; string_of_int n ]
-        | None -> [])
-      @ (match deadline with
-        | Some d -> [ "--deadline"; Printf.sprintf "%g" d ]
-        | None -> [])
-      @
-      match max_steps with
-      | Some n -> [ "--max-steps"; string_of_int n ]
-      | None -> []
-    in
-    let cfg =
-      {
-        base with
-        T1000_serve.Supervisor.replicas =
-          Option.value replicas
-            ~default:base.T1000_serve.Supervisor.replicas;
-        socket_dir =
-          Option.value socket_dir
-            ~default:base.T1000_serve.Supervisor.socket_dir;
-        restarts =
-          Option.value restarts
-            ~default:base.T1000_serve.Supervisor.restarts;
-        health_period_s =
-          (match health_ms with
-          | Some ms -> ms /. 1000.0
-          | None -> base.T1000_serve.Supervisor.health_period_s);
-        drain_grace_s =
-          Option.value grace
-            ~default:base.T1000_serve.Supervisor.drain_grace_s;
-        serve_args;
-      }
-    in
-    let sup = T1000_serve.Supervisor.create cfg in
-    List.iter
-      (fun a ->
-        Format.printf "t1000 supervise: replica on %s@."
-          (T1000_serve.Server.addr_to_string a))
-      (T1000_serve.Supervisor.sockets sup);
-    let stop _ = T1000_serve.Supervisor.stop sup in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    T1000_serve.Supervisor.run sup;
-    let faults = T1000_serve.Supervisor.faults sup in
-    List.iter
-      (fun f ->
-        Format.eprintf "t1000 supervise: %s@." (T1000.Fault.to_string f))
-      faults;
-    Format.printf
-      "t1000 supervise: drained, %d restart(s), %d supervisor event(s)@."
-      (T1000_serve.Supervisor.restarts_total sup)
-      (List.length faults);
-    if T1000_serve.Supervisor.gave_up sup then exit 3
-  in
-  let replicas =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replicas" ] ~docv:"N"
-          ~doc:
-            "Child daemons to supervise (also: \
-             $(b,T1000_SUPERVISE_REPLICAS); default 3).")
-  in
-  let socket_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory for the replicas' Unix sockets (replica<i>.sock) \
-             and logs (replica<i>.log); created if missing.")
-  in
-  let restarts =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "restarts" ] ~docv:"N"
-          ~doc:
-            "Per-replica restart budget before the supervisor gives up on \
-             it (also: $(b,T1000_SUPERVISE_RESTARTS); default 5).")
-  in
-  let health_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "health-ms" ] ~docv:"MS"
-          ~doc:
-            "Health-probe period per replica (also: \
-             $(b,T1000_SUPERVISE_HEALTH_MS); default 500).")
-  in
-  let grace =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "grace" ] ~docv:"SECONDS"
-          ~doc:
-            "Graceful-drain allowance per replica on shutdown before \
-             escalating to SIGKILL (default 5).")
-  in
-  let queue =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Admission queue depth passed to every replica.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains per replica.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"MS"
-          ~doc:"Default per-request deadline passed to every replica.")
-  in
-  let max_steps =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Functional-execution step cap passed to every replica.")
-  in
-  Cmd.v
-    (Cmd.info "supervise"
-       ~doc:
-         "Run a supervised multi-daemon serving tier: N $(b,t1000 serve) \
-          replicas on per-replica Unix sockets, restarted on crash or \
-          wedge (capped backoff, per-replica restart budget), health-probed \
-          via the queue-bypassing health request, and rolling-drained on \
-          SIGTERM.  Exit code 3 if any replica exhausted its restart \
-          budget.")
-    Term.(
-      const run $ replicas $ socket_dir $ restarts $ health_ms $ grace
-      $ queue $ jobs $ deadline $ max_steps $ trace_arg)
-
-(* -c/--connect accepts a comma-separated endpoint list; more than one
-   endpoint switches the client into failover mode (round-robin with
-   retry against the next replica on transport failure or shed). *)
-let addrs_conv =
-  Arg.conv
-    ( (fun s ->
-        let parts =
-          String.split_on_char ',' s |> List.map String.trim
-          |> List.filter (fun p -> p <> "")
-        in
-        if parts = [] then Error (`Msg "empty address list")
-        else
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | p :: rest -> (
-                match T1000_serve.Server.parse_addr p with
-                | Ok a -> go (a :: acc) rest
-                | Error e -> Error (`Msg e))
-          in
-          go [] parts),
-      fun ppf addrs ->
-        Format.pp_print_string ppf
-          (String.concat ","
-             (List.map T1000_serve.Server.addr_to_string addrs)) )
-
 let client_cmd =
-  let run connect ping health timeout_ms asm kernel method_ pfus penalty
-      max_cycles deadline count show_cached =
+  let run connect ping timeout_ms asm kernel method_ pfus penalty max_cycles
+      deadline count show_cached =
     with_faults @@ fun () ->
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let addrs =
+    let addr =
       match connect with
-      | Some l -> l
+      | Some a -> a
       | None -> (
-          match T1000_serve.Server.env_addr () with
-          | Some a -> [ a ]
+          match T1000.Env.serve_addr () with
+          | Some a -> a
           | None ->
               T1000.Fault.invalid_config
                 "no daemon address: give --connect or set T1000_SERVE_ADDR")
     in
     let timeout_s = Option.map (fun ms -> ms /. 1000.0) timeout_ms in
+    let fail msg =
+      Format.eprintf "t1000 client: %s@." msg;
+      exit 1
+    in
     let print_reply = function
       | Ok (`Outcome o) ->
           (* [cached] is opt-in output: the default stays byte-stable
@@ -1106,66 +906,9 @@ let client_cmd =
             (T1000_serve.Protocol.string_of_code code)
             msg
       | Ok `Pong -> Format.printf "pong@."
-      | Ok (`Health h) ->
-          Format.printf "%a@." T1000_serve.Protocol.pp_health h
-      | Error msg ->
-          Format.eprintf "t1000 client: %s@." msg;
-          exit 1
+      | Error msg -> fail msg
     in
-    if health then begin
-      (* Probe each endpoint individually: --health is a per-replica
-         liveness report, not a failover request. *)
-      let failures =
-        List.fold_left
-          (fun acc addr ->
-            let label = T1000_serve.Server.addr_to_string addr in
-            match T1000_serve.Client.connect ?timeout_s addr with
-            | Error msg ->
-                Format.printf "%s: unreachable (%s)@." label msg;
-                acc + 1
-            | Ok c -> (
-                Fun.protect
-                  ~finally:(fun () -> T1000_serve.Client.close c)
-                @@ fun () ->
-                match T1000_serve.Client.health c with
-                | Ok h ->
-                    Format.printf "%s:@.  @[<v>%a@]@." label
-                      T1000_serve.Protocol.pp_health h;
-                    acc
-                | Error msg ->
-                    Format.printf "%s: %s@." label msg;
-                    acc + 1))
-          0 addrs
-      in
-      if failures > 0 then exit 1
-    end
-    else if ping then (
-      match addrs with
-      | [ addr ] -> (
-          match T1000_serve.Client.connect ?timeout_s addr with
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1
-          | Ok c -> (
-              Fun.protect
-                ~finally:(fun () -> T1000_serve.Client.close c)
-              @@ fun () ->
-              match T1000_serve.Client.ping c with
-              | Ok () -> Format.printf "pong@."
-              | Error msg ->
-                  Format.eprintf "t1000 client: %s@." msg;
-                  exit 1))
-      | addrs -> (
-          let fo = T1000_serve.Client.Failover.create ?timeout_s addrs in
-          Fun.protect
-            ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
-          @@ fun () ->
-          match T1000_serve.Client.Failover.ping fo with
-          | Ok () -> Format.printf "pong@."
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1))
-    else begin
+    let select () =
       let kernel =
         match (asm, kernel) with
         | Some path, None ->
@@ -1191,65 +934,43 @@ let client_cmd =
         | T1000.Runner.Greedy -> `Greedy
         | T1000.Runner.Selective -> `Selective
       in
-      let sel =
-        {
-          T1000_serve.Protocol.kernel;
-          method_;
-          pfus;
-          penalty;
-          max_cycles;
-          deadline_ms = deadline;
-        }
-      in
-      match addrs with
-      | [ addr ] -> (
-          (* One endpoint: plain blocking client, byte-identical output
-             and semantics to the single-daemon tier. *)
-          match T1000_serve.Client.connect ?timeout_s addr with
-          | Error msg ->
-              Format.eprintf "t1000 client: %s@." msg;
-              exit 1
-          | Ok c ->
-              Fun.protect
-                ~finally:(fun () -> T1000_serve.Client.close c)
-              @@ fun () ->
-              for _ = 1 to count do
-                print_reply (T1000_serve.Client.request c sel)
-              done)
-      | addrs ->
-          let fo = T1000_serve.Client.Failover.create ?timeout_s addrs in
-          Fun.protect
-            ~finally:(fun () -> T1000_serve.Client.Failover.close fo)
-          @@ fun () ->
-          for _ = 1 to count do
-            print_reply (T1000_serve.Client.Failover.request fo sel)
-          done
-    end
+      {
+        T1000_serve.Protocol.kernel;
+        method_;
+        pfus;
+        penalty;
+        max_cycles;
+        deadline_ms = deadline;
+      }
+    in
+    (* The request is built (and a bad one rejected) before connecting. *)
+    let sel = if ping then None else Some (select ()) in
+    match T1000_serve.Client.connect ?timeout_s addr with
+    | Error msg -> fail msg
+    | Ok c -> (
+        Fun.protect ~finally:(fun () -> T1000_serve.Client.close c)
+        @@ fun () ->
+        match sel with
+        | None -> (
+            match T1000_serve.Client.ping c with
+            | Ok () -> Format.printf "pong@."
+            | Error msg -> fail msg)
+        | Some sel ->
+            for _ = 1 to count do
+              print_reply (T1000_serve.Client.request c sel)
+            done)
   in
   let connect =
     Arg.(
       value
-      & opt (some addrs_conv) None
-      & info [ "c"; "connect" ] ~docv:"ADDRS"
+      & opt (some addr_conv) None
+      & info [ "c"; "connect" ] ~docv:"ADDR"
           ~doc:
-            "Daemon address(es): comma-separated unix:PATH or \
-             tcp:HOST:PORT (also: $(b,T1000_SERVE_ADDR)).  More than one \
-             endpoint enables round-robin failover: a request moves to \
-             the next replica when one is down, sheds, or times out.")
+            "Daemon address: unix:PATH or tcp:HOST:PORT (also: \
+             $(b,T1000_SERVE_ADDR)).")
   in
   let ping =
     Arg.(value & flag & info [ "ping" ] ~doc:"Just ping the daemon.")
-  in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ]
-          ~doc:
-            "Print each endpoint's liveness snapshot (uptime, queue, \
-             in-flight, memo sizes, chaos counters) and exit; non-zero if \
-             any endpoint is unreachable.  Health requests bypass the \
-             daemon's admission queue, so this works on a saturated \
-             tier.")
   in
   let timeout =
     Arg.(
@@ -1311,7 +1032,7 @@ let client_cmd =
           and print the replies (typed daemon errors are printed in-band; \
           only transport failures exit non-zero).")
     Term.(
-      const run $ connect $ ping $ health $ timeout $ asm $ kernel
+      const run $ connect $ ping $ timeout $ asm $ kernel
       $ method_arg $ pfus_arg
       $ penalty_arg $ max_cycles $ deadline $ count $ show_cached)
 
@@ -1319,10 +1040,12 @@ let () =
   let doc =
     "T1000: configurable extended instructions on a superscalar core"
   in
-  validate_env ();
+  (* A bad T1000_* variable is a one-line error (exit code 2) before
+     any command runs, not an exception mid-sweep. *)
+  with_faults T1000.Env.validate;
   (* T1000_METRICS=1: dump the merged metric snapshot to stderr when the
      process ends, whatever command ran and however it exits. *)
-  if T1000.Fault.getenv_bool "T1000_METRICS" then
+  if T1000.Env.metrics () then
     at_exit (fun () ->
         Format.eprintf "t1000_cli: metrics:@.%a@." T1000.Obs.Metrics.pp
           (T1000.Obs.Metrics.snapshot ()));
@@ -1332,5 +1055,5 @@ let () =
           [
             list_cmd; disasm_cmd; profile_cmd; mine_cmd; replay_cmd;
             run_cmd; dot_cmd; experiment_cmd; dse_cmd; stats_cmd;
-            trace_check_cmd; fuzz_cmd; serve_cmd; supervise_cmd; client_cmd;
+            trace_check_cmd; fuzz_cmd; serve_cmd; client_cmd;
           ]))

@@ -237,9 +237,8 @@ echo "== serve: byte-stable replies, graceful drain, shedding, chaos =="
 # across two daemon lifetimes (cold vs fresh caches), SIGTERM mid-load
 # drains gracefully (exit 0, reply still delivered, socket unlinked),
 # a queue-depth-1 daemon sheds with typed replies instead of blocking,
-# a chaos-soaked session answers every request, a supervised 3-replica
-# tier survives kill -9 under load with byte-identical replies and
-# drains on SIGTERM, and the load benchmark writes BENCH_serve.json.
+# a chaos-soaked session answers every request, and the load benchmark
+# writes BENCH_serve.json.
 # The daemon binary is invoked directly (not via dune exec) so signals
 # land on the daemon itself.
 SERVE_DIR=$(mktemp -d)
@@ -399,114 +398,6 @@ grep -q "error\[" "$SERVE_DIR/chaos_replies.txt" && {
 }
 serve_stop "$SERVE_PID" || { echo "chaos daemon did not drain cleanly" >&2; exit 1; }
 
-echo "== supervise: crash drill — kill -9 a replica under load, zero drops =="
-# Reference replies from a single daemon: the supervised tier must
-# produce a byte-identical merged output.
-SOCK="$SERVE_DIR/ref.sock"
-"$SERVE_CLI" serve --socket "$SOCK" -j 2 > "$SERVE_DIR/ref_daemon.log" 2>&1 &
-SERVE_PID=$!
-serve_wait "$SOCK" "$SERVE_PID"
-for i in 1 2 3 4 5 6; do
-  timeout 300 "$SERVE_CLI" client -c "unix:$SOCK" unepic --penalty "$i"
-done > "$SERVE_DIR/ref_replies.txt"
-serve_stop "$SERVE_PID" || { echo "reference daemon did not drain" >&2; exit 1; }
-
-SUP_DIR="$SERVE_DIR/sup"
-"$SERVE_CLI" supervise --replicas 3 --socket-dir "$SUP_DIR" -j 2 \
-  --health-ms 100 > "$SERVE_DIR/sup.log" 2>&1 &
-SUP_PID=$!
-for i in 0 1 2; do serve_wait "$SUP_DIR/replica$i.sock" "$SUP_PID"; done
-ENDPOINTS="unix:$SUP_DIR/replica0.sock,unix:$SUP_DIR/replica1.sock,unix:$SUP_DIR/replica2.sock"
-# Wait until every replica answers (socket existing != accepting yet).
-i=0
-until timeout 30 "$SERVE_CLI" client -c "$ENDPOINTS" --health \
-    > /dev/null 2>&1; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "replicas never became healthy" >&2; exit 1; }
-  sleep 0.1
-done
-# Concurrent load through the failover client...
-for i in 1 2 3 4 5 6; do
-  timeout 300 "$SERVE_CLI" client -c "$ENDPOINTS" unepic --penalty "$i" \
-    > "$SERVE_DIR/sup_reply$i.txt" &
-  eval "LOAD_PID$i=\$!"
-done
-# ...and murder one replica outright while it runs.
-VICTIM=$(pgrep -f "serve --socket $SUP_DIR/replica0.sock" | head -1)
-[ -n "$VICTIM" ] || { echo "no replica0 daemon process found" >&2; exit 1; }
-kill -KILL "$VICTIM"
-LOAD_FAILURES=0
-for i in 1 2 3 4 5 6; do
-  eval "wait \$LOAD_PID$i" || LOAD_FAILURES=$((LOAD_FAILURES + 1))
-done
-[ "$LOAD_FAILURES" -eq 0 ] || {
-  echo "$LOAD_FAILURES failover clients failed during the kill drill" >&2
-  cat "$SERVE_DIR/sup.log" >&2
-  exit 1
-}
-cat "$SERVE_DIR"/sup_reply[1-6].txt > "$SERVE_DIR/sup_merged.txt"
-diff "$SERVE_DIR/ref_replies.txt" "$SERVE_DIR/sup_merged.txt" || {
-  echo "supervised-tier replies differ from the single-daemon run" >&2
-  exit 1
-}
-grep -q "error\[" "$SERVE_DIR/sup_merged.txt" && {
-  echo "the kill drill leaked a typed error to a client" >&2
-  exit 1
-}
-# The victim must be respawned (its socket answering again).
-i=0
-until timeout 10 "$SERVE_CLI" client -c "unix:$SUP_DIR/replica0.sock" --ping \
-    > /dev/null 2>&1; do
-  i=$((i + 1))
-  [ "$i" -le 300 ] || {
-    echo "replica0 was not respawned within 30s" >&2
-    cat "$SERVE_DIR/sup.log" >&2
-    exit 1
-  }
-  sleep 0.1
-done
-# Health fan-out across the full tier reports all three replicas.
-timeout 300 "$SERVE_CLI" client -c "$ENDPOINTS" --health \
-  > "$SERVE_DIR/sup_health.txt"
-HEALTHY=$(grep -c "pid=" "$SERVE_DIR/sup_health.txt")
-[ "$HEALTHY" -eq 3 ] || {
-  echo "expected 3 healthy replicas after the respawn, saw $HEALTHY" >&2
-  exit 1
-}
-
-echo "== supervise: rolling SIGTERM drain =="
-kill -TERM "$SUP_PID"
-i=0
-while kill -0 "$SUP_PID" 2>/dev/null; do
-  i=$((i + 1))
-  if [ "$i" -gt 600 ]; then
-    echo "supervisor did not drain within 60s" >&2
-    kill -KILL "$SUP_PID" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
-wait "$SUP_PID" || { echo "supervisor drain exited non-zero" >&2; exit 1; }
-grep -q "restarting (1/" "$SERVE_DIR/sup.log" || {
-  echo "supervisor never recorded the respawn" >&2
-  cat "$SERVE_DIR/sup.log" >&2
-  exit 1
-}
-grep -q "drained" "$SERVE_DIR/sup.log" || {
-  echo "supervisor did not report a drain summary" >&2
-  exit 1
-}
-pgrep -f "serve --socket $SUP_DIR" > /dev/null && {
-  echo "drain left replica daemons running" >&2
-  exit 1
-}
-for i in 0 1 2; do
-  [ ! -S "$SUP_DIR/replica$i.sock" ] || {
-    echo "drain left replica$i.sock behind" >&2
-    exit 1
-  }
-done
-
 echo "== serve: load benchmark writes BENCH_serve.json =="
 (cd "$SERVE_DIR" && T1000_SERVE_BENCH_REQUESTS=2 \
   timeout 900 "$SERVE_ROOT/_build/default/bench/main.exe" serve)
@@ -516,14 +407,6 @@ grep -q '"overload"' "$SERVE_DIR/BENCH_serve.json" || {
 }
 grep -q '"shed_rate"' "$SERVE_DIR/BENCH_serve.json" || {
   echo "BENCH_serve.json missing the shed rate" >&2
-  exit 1
-}
-grep -q '"supervised"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing the supervised leg" >&2
-  exit 1
-}
-grep -q '"restarts"' "$SERVE_DIR/BENCH_serve.json" || {
-  echo "BENCH_serve.json missing the supervised restart count" >&2
   exit 1
 }
 rm -rf "$SERVE_DIR"

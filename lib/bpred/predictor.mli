@@ -58,10 +58,6 @@ val spec_to_string : spec -> string
 
 val pp_spec : Format.formatter -> spec -> unit
 
-val env_spec : unit -> spec
-(** Reads [T1000_BPRED] (default [Perfect]).
-    @raise Invalid_argument on an unparseable or out-of-range value. *)
-
 val is_perfect : spec -> bool
 
 type t

@@ -7,28 +7,6 @@
    resuming from garbage. *)
 
 let magic = "t1000v1"
-let env_var = "T1000_CHECKPOINT_DIR"
-
-let default_dir () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> Some s
-
-(* The directory itself is created on demand, but pointing the variable
-   at an existing *file* can only be a misconfiguration — catch it
-   upfront (the CLI's validate_env) instead of failing mid-sweep when
-   the first record is flushed. *)
-let default_dir_validated () =
-  match default_dir () with
-  | Some d when Sys.file_exists d && not (Sys.is_directory d) ->
-      raise
-        (Fault.Error
-           (Fault.Invalid_config
-              (Printf.sprintf "%s points at %S, which is not a directory"
-                 env_var d)))
-  | o -> o
-
 type t = {
   path : string;
   mutex : Mutex.t;

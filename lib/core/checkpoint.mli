@@ -18,25 +18,10 @@
       the {!Pool} workers' completion callback.
 
     Journals live under a directory the caller names explicitly, or the
-    [T1000_CHECKPOINT_DIR] environment variable ({!default_dir}), one
+    [T1000_CHECKPOINT_DIR] environment variable ({!Env.checkpoint_dir}), one
     [<run>.journal] file per sweep. *)
 
 type t
-
-val env_var : string
-(** ["T1000_CHECKPOINT_DIR"]. *)
-
-val default_dir : unit -> string option
-(** The [T1000_CHECKPOINT_DIR] environment variable, if set and
-    non-empty. *)
-
-val default_dir_validated : unit -> string option
-(** {!default_dir}, additionally rejecting a value that names an
-    existing non-directory (the directory itself need not exist yet —
-    {!create} makes it on demand).
-    @raise Fault.Error
-      with [Invalid_config] if the variable points at an existing
-      file. *)
 
 val create : ?fresh:bool -> dir:string -> run:string -> unit -> t
 (** Open (creating [dir] as needed) the journal for [run].  An existing

@@ -85,40 +85,6 @@ let strict (p : 'row partial) =
   | [] -> p.rows
   | { fault; _ } :: _ -> raise (Fault.Error fault)
 
-(* The suite named by T1000_WORKLOADS, comma-separated; the full suite
-   when unset or blank. *)
-let env_workloads () =
-  match Sys.getenv_opt "T1000_WORKLOADS" with
-  | None -> Registry.all
-  | Some s -> (
-      let names =
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun n -> n <> "")
-      in
-      match names with
-      | [] -> Registry.all
-      | _ ->
-          List.map
-            (fun n ->
-              match Registry.find n with
-              | Some w -> w
-              | None ->
-                  Fault.invalid_config
-                    "unknown workload %S in T1000_WORKLOADS (known: %s)" n
-                    (String.concat ", " Registry.names))
-            names)
-
-(* Test hook: T1000_FAULT_INJECT names one workload whose every task
-   raises Fault.Injected before evaluating, so the fault-isolation and
-   checkpoint-resume paths can be exercised end to end from the CLI and
-   CI without a real bug. *)
-let fault_inject_target () =
-  match Sys.getenv_opt "T1000_FAULT_INJECT" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> Some (String.trim s)
-
 (* Evaluate [eval w p] for every (w, p) task of every group, fanned out
    over the worker pool as independent tasks, and settle each group: all
    of its values in task order, or a [point_fault] for each task that
@@ -133,7 +99,7 @@ let fault_inject_target () =
    marshalled OCaml values round-trip exactly, a resumed run settles
    byte-identically to an uninterrupted one. *)
 let fan_out ?journal ?(on_cached = ignore) ~key ~label groups eval =
-  let inject = fault_inject_target () in
+  let inject = Env.fault_inject () in
   let eval_task ((w : Workload.t), p) =
     (match inject with
     | Some name when name = w.Workload.name ->

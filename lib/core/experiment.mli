@@ -61,18 +61,9 @@ val speedup_of : ctx -> Workload.t -> Runner.setup -> float
     so re-running an interrupted sweep against the same journal resumes
     it — and yields rows byte-identical to an uninterrupted run.
 
-    Test hook: when the [T1000_FAULT_INJECT] environment variable names
+    Test hook: when [T1000_FAULT_INJECT] ({!Env.fault_inject}) names
     a workload, every task of that workload raises
     [Fault.Injected] instead of simulating. *)
-
-val env_workloads : unit -> Workload.t list
-(** The suite named by [T1000_WORKLOADS] (comma-separated names), or
-    the full suite when it is unset or blank.
-    @raise Fault.Error with [Invalid_config] on an unknown name. *)
-
-val fault_inject_target : unit -> string option
-(** The workload named by [T1000_FAULT_INJECT] (trimmed), if set and
-    non-empty — the test hook above. *)
 
 type point_fault = {
   fault_workload : string;

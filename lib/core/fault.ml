@@ -7,7 +7,6 @@ type t =
   | Injected of string
   | Overloaded of string
   | Deadline_exceeded of string
-  | Supervisor of string
   | Crashed of { exn : string; backtrace : string }
 
 exception Error of t
@@ -22,7 +21,6 @@ let pp ppf = function
   | Injected m -> Format.fprintf ppf "injected fault: %s" m
   | Overloaded m -> Format.fprintf ppf "overloaded: %s" m
   | Deadline_exceeded m -> Format.fprintf ppf "deadline exceeded: %s" m
-  | Supervisor m -> Format.fprintf ppf "supervisor: %s" m
   | Crashed { exn; backtrace } ->
       Format.fprintf ppf "crashed: %s%s" exn
         (if backtrace = "" then "" else "\n" ^ backtrace)
@@ -57,16 +55,3 @@ let transient = function
    misconfigured (bad setup field or environment variable), 3 = the run
    was configured fine but some points faulted (partial results). *)
 let exit_code = function Invalid_config _ -> 2 | _ -> 3
-
-let getenv_bool var =
-  match Sys.getenv_opt var with
-  | None -> false
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "" | "0" | "false" | "no" -> false
-      | "1" | "true" | "yes" -> true
-      | v ->
-          raise
-            (Error
-               (Invalid_config
-                  (Printf.sprintf "%s must be 0/1/true/false, got %S" var v))))

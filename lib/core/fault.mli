@@ -34,12 +34,6 @@ type t =
   | Deadline_exceeded of string
       (** a per-request deadline expired (in the admission queue or
           while the simulation was running) before a result was ready *)
-  | Supervisor of string
-      (** a supervisor-level event in the multi-daemon serve tier: a
-          replica died or wedged and was restarted, a restart budget
-          was exhausted, a drain had to escalate to SIGKILL.  Recorded
-          by {!T1000_serve.Supervisor} and rendered in its drain
-          summary; never raised by the selection pipeline itself *)
   | Crashed of { exn : string; backtrace : string }
       (** any other exception, rendered with its backtrace when one was
           recorded *)
@@ -72,8 +66,3 @@ val exit_code : t -> int
 (** Process exit code the CLI maps the fault to: 2 for
     [Invalid_config] (misconfigured run), 3 otherwise (partial
     results). *)
-
-val getenv_bool : string -> bool
-(** Strict boolean environment lookup: unset/empty/["0"]/["false"]/
-    ["no"] are [false]; ["1"]/["true"]/["yes"] are [true].
-    @raise Error with [Invalid_config] on anything else. *)

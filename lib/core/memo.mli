@@ -51,15 +51,6 @@ val length : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 (** Cumulative LRU evictions from this table. *)
 
-val env_var : string
-(** ["T1000_MEMO_CAP"]. *)
-
-val env_cap : unit -> int option
-(** [T1000_MEMO_CAP]: LRU capacity for the serve daemon's cross-request
-    memo tables ({!default_cap} when unset).
-    @raise Fault.Error with [Invalid_config] unless a positive
-      integer. *)
-
 val default_cap : int
 (** The generous default (1024) applied by the serve daemon when
     [T1000_MEMO_CAP] is unset. *)

@@ -1,20 +1,9 @@
 module Metrics = T1000_obs.Metrics
 module Tracer = T1000_obs.Tracer
 
-let default_njobs () =
-  match Sys.getenv_opt "T1000_NJOBS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s when String.trim s = "" -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "T1000_NJOBS must be a positive integer, got %S" s))
-
 let parallel_map ?njobs f xs =
   let njobs =
-    match njobs with Some n -> max 1 n | None -> default_njobs ()
+    match njobs with Some n -> max 1 n | None -> Env.njobs ()
   in
   Tracer.with_span ~cat:"pool" "pool.map" @@ fun () ->
   match xs with
@@ -93,55 +82,11 @@ let hash_unit ~seed ~salt ~a ~b =
   let h = mix64 (logxor h (of_int seed)) in
   to_float (shift_right_logical h 11) /. 9007199254740992.0
 
-let env_chaos () =
-  match Sys.getenv_opt "T1000_CHAOS" with
-  | None -> 0.0
-  | Some s when String.trim s = "" -> 0.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some p when p >= 0.0 && p < 1.0 -> p
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_CHAOS must be a fault probability in [0, 1), \
-                      got %S"
-                     s))))
-
-let env_chaos_seed () =
-  match Sys.getenv_opt "T1000_CHAOS_SEED" with
-  | None -> 1
-  | Some s when String.trim s = "" -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf "T1000_CHAOS_SEED must be an integer, got %S"
-                     s))))
-
-let env_retries () =
-  match Sys.getenv_opt "T1000_RETRIES" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> Some n
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_RETRIES must be a non-negative integer, got %S" s))))
-
 type chaos = { p : float; seed : int }
 
 let chaos_config () =
-  let p = env_chaos () in
-  if p > 0.0 then Some { p; seed = env_chaos_seed () } else None
+  let p = Env.chaos () in
+  if p > 0.0 then Some { p; seed = Env.chaos_seed () } else None
 
 (* Cumulative chaos-event counters now live in [Obs.Metrics] (sharded
    per domain, merged on read) alongside the rest of the pool
@@ -151,27 +96,6 @@ let injected_counter = "pool.chaos.injected"
 let killed_counter = "pool.chaos.killed"
 let chaos_events () = (Metrics.get injected_counter, Metrics.get killed_counter)
 
-(* T1000_BACKOFF_SCALE: a multiplier on the whole backoff schedule, so
-   tests and CI chaos soaks do not spend wall-clock seconds sleeping
-   between retries.  0 is explicitly allowed (no sleeping at all); the
-   deterministic attempt sequence is unchanged either way, because the
-   scale only stretches or compresses the delays, never the decisions. *)
-let env_backoff_scale () =
-  match Sys.getenv_opt "T1000_BACKOFF_SCALE" with
-  | None -> 1.0
-  | Some s when String.trim s = "" -> 1.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x >= 0.0 && Float.is_finite x -> x
-      | Some _ | None ->
-          raise
-            (Fault.Error
-               (Fault.Invalid_config
-                  (Printf.sprintf
-                     "T1000_BACKOFF_SCALE must be a non-negative finite \
-                      float, got %S"
-                     s))))
-
 (* Capped exponential backoff before retrying a transient fault: 1 ms,
    2 ms, 4 ms, ... capped at 50 ms, so even a long retry chain costs
    well under a second next to one simulation.  The 50 ms cap is load-
@@ -180,7 +104,7 @@ let env_backoff_scale () =
    deadline math can treat retry backoff as bounded noise.  The whole
    schedule is scaled by T1000_BACKOFF_SCALE (0 = no sleeping). *)
 let backoff_delay attempt =
-  env_backoff_scale ()
+  Env.backoff_scale ()
   *. Float.min 0.05 (0.001 *. Float.of_int (1 lsl min attempt 16))
 
 (* How many worker kills a single map tolerates; a replacement domain
@@ -189,14 +113,14 @@ let kill_cap = 16
 
 let parallel_map_result ?njobs ?retries ?on_result f xs =
   let njobs =
-    match njobs with Some n -> max 1 n | None -> default_njobs ()
+    match njobs with Some n -> max 1 n | None -> Env.njobs ()
   in
   let chaos = chaos_config () in
   let retries =
     match retries with
     | Some r -> max 0 r
     | None -> (
-        match env_retries () with
+        match Env.retries () with
         | Some r -> r
         | None -> if chaos = None then 0 else 10)
   in
@@ -407,7 +331,7 @@ let run_result ?(index = 0) ?retries f =
     match retries with
     | Some r -> max 0 r
     | None -> (
-        match env_retries () with
+        match Env.retries () with
         | Some r -> r
         | None -> if chaos = None then 0 else 10)
   in

@@ -9,19 +9,12 @@
     results are bit-identical to sequential ones; the test suite
     asserts this.
 
-    The default worker count comes from the [T1000_NJOBS] environment
-    variable when set, else {!Domain.recommended_domain_count}.
+    The default worker count is {!Env.njobs}: the [T1000_NJOBS]
+    environment variable when set, else
+    {!Domain.recommended_domain_count}.
     [T1000_NJOBS=1] disables the pool entirely: [parallel_map] then
     degrades to a plain [List.map] on the calling domain, with no
     domains spawned. *)
-
-val default_njobs : unit -> int
-(** Worker count used when [?njobs] is not given: the value of the
-    [T1000_NJOBS] environment variable if set and non-empty, else
-    [Domain.recommended_domain_count ()].
-    @raise Invalid_argument
-      if [T1000_NJOBS] is set to anything other than a positive
-      integer (or the empty string, which counts as unset). *)
 
 val parallel_map : ?njobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] is [List.map f xs] computed by [njobs] workers
@@ -107,27 +100,6 @@ val backoff_delay : int -> float
     per attempt, capped at 50 ms, the whole schedule multiplied by
     [T1000_BACKOFF_SCALE] (default 1; 0 disables sleeping entirely, for
     tests and CI soak runs). *)
-
-val env_backoff_scale : unit -> float
-(** The backoff multiplier from [T1000_BACKOFF_SCALE] (1.0 when
-    unset/empty; 0 allowed).
-    @raise Fault.Error
-      with [Invalid_config] if set to a negative or non-float value. *)
-
-val env_chaos : unit -> float
-(** The chaos probability from [T1000_CHAOS] (0.0 when unset/empty).
-    @raise Fault.Error
-      with [Invalid_config] if set to anything outside [\[0, 1)]. *)
-
-val env_chaos_seed : unit -> int
-(** The chaos hash seed from [T1000_CHAOS_SEED] (1 when unset/empty).
-    @raise Fault.Error with [Invalid_config] if set to a non-integer. *)
-
-val env_retries : unit -> int option
-(** The retry override from [T1000_RETRIES] ([None] when unset/empty).
-    @raise Fault.Error
-      with [Invalid_config] if set to a negative or non-integer
-      value. *)
 
 val chaos_events : unit -> int * int
 (** Cumulative ([injected], [killed]) chaos-event counters across all

@@ -42,14 +42,9 @@ let validate s =
 
 let setup ?(n_pfus = Some 2) ?(penalty = 10) ?selfcheck method_ =
   let selfcheck =
-    match selfcheck with
-    | Some b -> b
-    | None -> Fault.getenv_bool "T1000_SELFCHECK"
+    match selfcheck with Some b -> b | None -> Env.selfcheck ()
   in
-  let bpred =
-    try T1000_bpred.Predictor.env_spec ()
-    with Invalid_argument m -> Fault.invalid_config "%s" m
-  in
+  let bpred = Env.bpred () in
   let s =
     {
       method_;
@@ -184,11 +179,12 @@ let run ?analysis ?table (w : Workload.t) s =
     end
   in
   let machine =
-    match s.method_ with
-    | Baseline -> { s.machine with Mconfig.n_pfus = Some 0 }
-    | Greedy | Selective ->
-        Mconfig.with_pfus ~replacement:s.replacement ~penalty:s.penalty
-          s.n_pfus s.machine
+    Env.apply_max_cycles
+      (match s.method_ with
+      | Baseline -> { s.machine with Mconfig.n_pfus = Some 0 }
+      | Greedy | Selective ->
+          Mconfig.with_pfus ~replacement:s.replacement ~penalty:s.penalty
+            s.n_pfus s.machine)
   in
   let ext_latency =
     match s.ext_timing with

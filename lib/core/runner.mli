@@ -47,10 +47,9 @@ val setup : ?n_pfus:int option -> ?penalty:int -> ?selfcheck:bool ->
   method_ -> setup
 (** Defaults: 2 PFUs, 10-cycle penalty, LRU, paper extraction and
     selection parameters, the default machine.  [?selfcheck] defaults
-    to the [T1000_SELFCHECK] environment variable (strict boolean,
-    {!Fault.getenv_bool}); the machine's branch predictor defaults to
-    the [T1000_BPRED] environment variable
-    ({!T1000_bpred.Predictor.env_spec}, default [Perfect]).
+    to the [T1000_SELFCHECK] environment variable ({!Env.selfcheck});
+    the machine's branch predictor defaults to the [T1000_BPRED]
+    environment variable ({!Env.bpred}, default [Perfect]).
     @raise Fault.Error
       with [Invalid_config] if any field is out of range
       ({!validate}) or [T1000_BPRED] is unparseable. *)
@@ -103,6 +102,8 @@ val run : ?analysis:analysis -> ?table:T1000_select.Extinstr.t ->
     with [Verify_mismatch].  [?table] supplies a precomputed selection
     (e.g. from the {!Experiment} cache), skipping the selection step;
     it must be the table {!select_table} would have produced for [s].
+    The simulated machine takes its cycle budget from
+    [T1000_MAX_CYCLES] when that is set ({!Env.apply_max_cycles}).
     With [s.selfcheck] set, the simulator audits its RUU/PFU-file
     invariants at every commit and the architectural results are
     cross-validated against the functional interpreter afterwards;

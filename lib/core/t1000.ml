@@ -14,6 +14,8 @@
       classify per-point failures into;
     - {!Checkpoint} — the checkpoint/resume journal behind the
       drivers' [?journal] argument;
+    - {!Env} — every [T1000_*] environment knob, parsed and validated
+      in one place;
     - {!Obs} — the deterministic telemetry subsystem (metrics, spans,
       Chrome-trace export); strictly observational, never on stdout. *)
 
@@ -24,4 +26,5 @@ module Pool = Pool
 module Memo = Memo
 module Fault = Fault
 module Checkpoint = Checkpoint
+module Env = Env
 module Obs = T1000_obs

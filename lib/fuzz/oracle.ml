@@ -15,7 +15,7 @@ let pp_failure ppf f =
 (* The deliberately broken oracle for acceptance testing: pretend the
    cycle-gain model over-counts commits by one whenever an extended
    instruction retired.  Armed only via T1000_FAULT_INJECT=fuzz-oracle. *)
-let bug_armed () = T1000.Experiment.fault_inject_target () = Some "fuzz-oracle"
+let bug_armed () = T1000.Env.fault_inject () = Some "fuzz-oracle"
 
 (* Retired instruction count and observable output of [program] on the
    workload's initial state, straight from the functional interpreter. *)

@@ -44,8 +44,8 @@ type t = {
   cache : T1000_cache.Hierarchy.config;
   max_cycles : int;
       (** simulation cycle budget; {!Sim.run} raises {!Sim.Sim_stuck}
-          past it (overridable via the [T1000_MAX_CYCLES] environment
-          variable) *)
+          past it ([T1000.Runner.run] replaces it with
+          [T1000_MAX_CYCLES] when that environment variable is set) *)
   progress_window : int;
       (** forward-progress watchdog: {!Sim.run} declares deadlock when
           the RUU is non-empty and no instruction has committed for this

@@ -43,19 +43,6 @@ let () =
     | Selfcheck_violation m -> Some ("Sim self-check violation: " ^ m)
     | _ -> None)
 
-let env_max_cycles () =
-  match Sys.getenv_opt "T1000_MAX_CYCLES" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          invalid_arg
-            (Printf.sprintf "T1000_MAX_CYCLES must be a positive integer, \
-                             got %S"
-               s))
-
 let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
     ?(selfcheck = false) ~init program =
   T1000_obs.Tracer.with_span ~cat:"sim" "sim.run" @@ fun () ->
@@ -632,11 +619,7 @@ let run ?(mconfig = Mconfig.default) ?(ext_latency = fun _ -> 1) ?ext_eval
   in
   (* Prime the lookahead so [finished] is meaningful for empty traces. *)
   ignore (peek ());
-  let max_cycles =
-    match env_max_cycles () with
-    | Some n -> n
-    | None -> mconfig.Mconfig.max_cycles
-  in
+  let max_cycles = mconfig.Mconfig.max_cycles in
   let progress_window = mconfig.Mconfig.progress_window in
 
   (* --- Quiet cycles ---

@@ -73,12 +73,6 @@ exception Selfcheck_violation of string
 
 val pp_stuck : Format.formatter -> stuck -> unit
 
-val env_max_cycles : unit -> int option
-(** The [T1000_MAX_CYCLES] environment override of
-    {!Mconfig.t.max_cycles}, if set and non-empty.
-    @raise Invalid_argument
-      if the variable holds anything other than a positive integer. *)
-
 val run :
   ?mconfig:Mconfig.t ->
   ?ext_latency:(int -> int) ->
@@ -90,8 +84,7 @@ val run :
 (** Simulate the program to completion.
 
     Two watchdogs bound every run: a total cycle budget
-    ([mconfig.max_cycles], overridable with the [T1000_MAX_CYCLES]
-    environment variable) and a forward-progress check (no commit for
+    ([mconfig.max_cycles]) and a forward-progress check (no commit for
     [mconfig.progress_window] cycles while instructions are in flight).
     Either tripping raises {!Sim_stuck} with a diagnostic snapshot
     instead of looping forever.

@@ -1,5 +1,3 @@
-module Metrics = T1000_obs.Metrics
-
 type t = {
   fd : Unix.file_descr;
   next_id : int ref;
@@ -33,7 +31,7 @@ let connect ?timeout_s addr =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       Error
         (Printf.sprintf "connect %s: %s"
-           (Server.addr_to_string addr)
+           (T1000.Env.addr_to_string addr)
            (Unix.error_message e))
 
 let close t =
@@ -48,26 +46,13 @@ let send t ~id body =
   if t.closed then Error "client already closed"
   else Protocol.output_frame t.fd (Protocol.request_payload { Protocol.id; body })
 
-(* Read the next reply, skipping frames whose id the caller declares
-   stale (a late reply to a request already resolved elsewhere after a
-   receive timeout).  The typed [io_error] is preserved so the failover
-   layer can tell a clean [`Timeout] (connection still frame-aligned
-   and reusable) from a real transport failure. *)
-let read_reply ?(stale = fun _ -> false) ?(on_stale = fun _ -> ()) t =
-  let rec go () =
-    if t.closed then Error (`Io "client already closed")
-    else
-      let* payload = Protocol.input_frame t.fd in
-      match Protocol.decode_reply payload with
-      | Error m -> Error (`Io ("undecodable reply: " ^ m))
-      | Ok reply ->
-          if reply.Protocol.rid <> 0 && stale reply.Protocol.rid then begin
-            on_stale reply.Protocol.rid;
-            go ()
-          end
-          else Ok reply
-  in
-  go ()
+let read_reply t =
+  if t.closed then Error (`Io "client already closed")
+  else
+    let* payload = Protocol.input_frame t.fd in
+    Result.map_error
+      (fun m -> `Io ("undecodable reply: " ^ m))
+      (Protocol.decode_reply payload)
 
 let roundtrip t body =
   let id = !(t.next_id) in
@@ -94,166 +79,4 @@ let ping t =
   match body with
   | `Pong -> Ok ()
   | `Error (_, msg) -> Error ("ping answered with error: " ^ msg)
-  | `Health _ -> Error "ping answered with a health snapshot"
   | `Outcome _ -> Error "ping answered with a selection outcome"
-
-let health t =
-  let* body = roundtrip t `Health in
-  match body with
-  | `Health h -> Ok h
-  | `Error (_, msg) -> Error ("health answered with error: " ^ msg)
-  | `Pong -> Error "health answered with a pong"
-  | `Outcome _ -> Error "health answered with a selection outcome"
-
-module Failover = struct
-  (* The single-connection [close] below gets shadowed by this module's
-     own [close]. *)
-  let conn_close = close
-
-  type slot = { addr : Server.addr; mutable conn : t option }
-
-  type nonrec t = {
-    slots : slot array;
-    timeout_s : float option;
-    cycles : int;
-    mutable rr : int;  (** slot the next request starts on *)
-    mutable next_id : int;
-    resolved : (int, unit) Hashtbl.t;
-        (** ids no longer awaited; late replies carrying one are
-            dropped, never mistaken for the answer to a newer request *)
-    mutable dropped_duplicates : int;
-    mutable closed : bool;
-  }
-
-  let create ?(cycles = 4) ?timeout_s addrs =
-    if addrs = [] then invalid_arg "Failover.create: empty endpoint list";
-    if cycles < 1 then invalid_arg "Failover.create: cycles must be >= 1";
-    {
-      slots = Array.of_list (List.map (fun a -> { addr = a; conn = None }) addrs);
-      timeout_s;
-      cycles;
-      rr = 0;
-      next_id = 1;
-      resolved = Hashtbl.create 64;
-      dropped_duplicates = 0;
-      closed = false;
-    }
-
-  let endpoints t = Array.length t.slots
-  let dropped_duplicates t = t.dropped_duplicates
-
-  let close t =
-    if not t.closed then begin
-      t.closed <- true;
-      Array.iter
-        (fun s ->
-          Option.iter conn_close s.conn;
-          s.conn <- None)
-        t.slots
-    end
-
-  let drop_conn slot =
-    Option.iter conn_close slot.conn;
-    slot.conn <- None
-
-  let conn_of t slot =
-    match slot.conn with
-    | Some c when not c.closed -> Ok c
-    | _ -> (
-        match connect ?timeout_s:t.timeout_s slot.addr with
-        | Ok c ->
-            slot.conn <- Some c;
-            Ok c
-        | Error _ as e -> e)
-
-  (* One attempt of request [id] against [slot].  [`Transport] failures
-     (including a receive timeout) are the failover trigger; an in-band
-     [`Error] reply — shed, deadline, caller error — is a valid answer
-     from a live replica and comes back as [Ok]. *)
-  let attempt t slot ~id body =
-    match conn_of t slot with
-    | Error e -> Error (`Transport e)
-    | Ok c -> (
-        match send c ~id body with
-        | Error e ->
-            drop_conn slot;
-            Error (`Transport e)
-        | Ok () -> (
-            let stale rid = rid <> id && Hashtbl.mem t.resolved rid in
-            let on_stale _ =
-              t.dropped_duplicates <- t.dropped_duplicates + 1;
-              Metrics.incr "client.failover.dup_replies"
-            in
-            match read_reply ~stale ~on_stale c with
-            | Error `Timeout ->
-                (* The frame boundary is intact: keep the connection.
-                   If the reply for [id] lands later it will be skipped
-                   by [stale] on the next use of this replica. *)
-                Error (`Transport "receive timeout")
-            | Error e ->
-                drop_conn slot;
-                Error (`Transport (Format.asprintf "%a" Protocol.pp_io_error e))
-            | Ok reply ->
-                if reply.Protocol.rid <> id && reply.Protocol.rid <> 0 then begin
-                  drop_conn slot;
-                  Error
-                    (`Transport
-                       (Printf.sprintf "reply id %d does not match request id %d"
-                          reply.Protocol.rid id))
-                end
-                else Ok reply.Protocol.body))
-
-  let submit t body =
-    if t.closed then Error "failover client already closed"
-    else begin
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      let n = Array.length t.slots in
-      let start = t.rr in
-      t.rr <- (t.rr + 1) mod n;
-      let finish r =
-        Hashtbl.replace t.resolved id ();
-        r
-      in
-      (* Walk every replica round-robin; a full cycle of sheds or
-         transport failures sleeps a capped exponential backoff before
-         the next cycle, so a briefly-overloaded (or restarting) tier
-         is retried rather than failed. *)
-      let rec go cycle k last =
-        if k >= n then
-          if cycle + 1 >= t.cycles then
-            finish
-              (match last with
-              | `Reply body -> Ok body
-              | `Transport msg ->
-                  Error
-                    (Printf.sprintf "all %d replica(s) failed: %s" n msg))
-          else begin
-            Unix.sleepf (T1000.Pool.backoff_delay cycle);
-            Metrics.incr "client.failover.backoff_cycles";
-            go (cycle + 1) 0 last
-          end
-        else
-          let slot = t.slots.((start + k) mod n) in
-          match attempt t slot ~id body with
-          | Ok (`Error (Protocol.Overloaded, _) as r) ->
-              Metrics.incr "client.failover.shed";
-              go cycle (k + 1) (`Reply r)
-          | Ok r -> finish (Ok r)
-          | Error (`Transport e) ->
-              Metrics.incr "client.failover.transport";
-              go cycle (k + 1) (`Transport e)
-      in
-      go 0 0 (`Transport "no attempt made")
-    end
-
-  let request t sel = submit t (`Select sel)
-
-  let ping t =
-    match submit t `Ping with
-    | Error _ as e -> e
-    | Ok `Pong -> Ok ()
-    | Ok (`Error (_, msg)) -> Error ("ping answered with error: " ^ msg)
-    | Ok (`Health _) -> Error "ping answered with a health snapshot"
-    | Ok (`Outcome _) -> Error "ping answered with a selection outcome"
-end

@@ -5,12 +5,7 @@
     against the reply, so a daemon bug that crossed replies between
     requests would surface as a typed error, not silent corruption.
     Concurrency is achieved by opening several clients — the bench load
-    generator runs one per simulated tenant thread.
-
-    {!Failover} layers retry and replica failover on top: it holds one
-    connection per endpoint, spreads requests round-robin, and moves a
-    request to the next replica when one is down, sheds it, or times
-    out — the client side of the supervised multi-daemon tier. *)
+    generator runs one per simulated tenant thread. *)
 
 type t
 
@@ -18,8 +13,8 @@ val connect : ?timeout_s:float -> Server.addr -> (t, string) result
 (** Connect to a daemon.  [Error] (with the connect failure) rather
     than an exception, so load generators can poll for startup.
     [?timeout_s] sets [SO_RCVTIMEO]/[SO_SNDTIMEO] on the socket, which
-    bounds every blocking call against a wedged daemon — the
-    supervisor's health probes and the failover client depend on it.
+    bounds every blocking call against a wedged daemon ([t1000 client
+    --timeout]).
     @raise Invalid_argument if [timeout_s] is not positive and finite. *)
 
 val request :
@@ -31,57 +26,5 @@ val request :
 
 val ping : t -> (unit, string) result
 
-val health : t -> (Protocol.health, string) result
-(** Ask for the daemon's liveness snapshot ([`Health] is answered on
-    the connection thread, bypassing the admission queue, so this works
-    even when the daemon is saturated). *)
-
 val close : t -> unit
 (** Idempotent. *)
-
-(** Round-robin failover across a list of replicas.
-
-    Each request gets a fresh id and starts on the next endpoint in
-    round-robin order.  A transport failure (replica down, connection
-    reset, receive timeout) or an in-band [Overloaded] shed moves the
-    request to the next replica; a full cycle of failures sleeps a
-    capped exponential backoff ({!T1000.Pool.backoff_delay}, scaled by
-    [T1000_BACKOFF_SCALE]) before trying the tier again, up to
-    [cycles] passes.  Any other reply — success {e or} typed error — is
-    final.
-
-    {b Exactly-once results under at-least-once sends}: after a receive
-    timeout the connection is kept (the timeout fires only between
-    frames, so the stream is still aligned) and the request is retried
-    elsewhere; once any replica answers, the id is marked resolved and
-    every late duplicate reply carrying it is dropped on read (counted
-    in {!Failover.dropped_duplicates} and the
-    [client.failover.dup_replies] metric), never surfaced as the answer
-    to a newer request. *)
-module Failover : sig
-  type t
-
-  val create :
-    ?cycles:int -> ?timeout_s:float -> Server.addr list -> t
-  (** [cycles] (default 4) full passes over the endpoint list before a
-      request is failed; [timeout_s] is applied to every connection
-      ({!connect}).  Connections are opened lazily and re-opened after
-      failures.
-      @raise Invalid_argument on an empty endpoint list or [cycles < 1]. *)
-
-  val request :
-    t -> Protocol.select -> (Protocol.reply_body, string) result
-  (** [Error] only when every replica failed on every cycle; a
-      still-overloaded tier returns the last [Ok (`Error (Overloaded, _))]
-      shed reply so callers keep the typed in-band taxonomy. *)
-
-  val ping : t -> (unit, string) result
-  (** Ping whichever replica answers first (same failover walk). *)
-
-  val endpoints : t -> int
-  val dropped_duplicates : t -> int
-  (** Late duplicate replies discarded by id-based dedup so far. *)
-
-  val close : t -> unit
-  (** Idempotent; closes every cached connection. *)
-end

@@ -14,22 +14,7 @@ type select = {
   deadline_ms : float option;
 }
 
-type request = { id : int; body : [ `Ping | `Health | `Select of select ] }
-
-type health = {
-  pid : int;
-  uptime_s : float;
-  queue_len : int;
-  queue_cap : int;
-  inflight : int;
-  answered : int;
-  workers : int;
-  respawns : int;
-  memo_sizes : (string * int) list;
-  memo_evictions : int;
-  chaos_injected : int;
-  chaos_killed : int;
-}
+type request = { id : int; body : [ `Ping | `Select of select ] }
 
 type outcome = {
   speedup : float;
@@ -45,7 +30,6 @@ type error_code = Overloaded | Timeout | Invalid | Malformed | Faulted
 type reply_body =
   [ `Pong
   | `Outcome of outcome
-  | `Health of health
   | `Error of error_code * string ]
 
 type reply = { rid : int; body : reply_body }
@@ -97,7 +81,6 @@ let string_of_method = function
 let json_of_request (r : request) =
   match r.body with
   | `Ping -> Json.Obj [ ("id", num_i r.id); ("op", Json.Str "ping") ]
-  | `Health -> Json.Obj [ ("id", num_i r.id); ("op", Json.Str "health") ]
   | `Select s ->
       let opt k v rest =
         match v with None -> rest | Some v -> (k, v) :: rest
@@ -120,25 +103,6 @@ let json_of_request (r : request) =
 let json_of_reply (r : reply) =
   match r.body with
   | `Pong -> Json.Obj [ ("id", num_i r.rid); ("status", Json.Str "pong") ]
-  | `Health h ->
-      Json.Obj
-        [
-          ("id", num_i r.rid);
-          ("status", Json.Str "health");
-          ("pid", num_i h.pid);
-          ("uptime_s", Json.Num h.uptime_s);
-          ("queue_len", num_i h.queue_len);
-          ("queue_cap", num_i h.queue_cap);
-          ("inflight", num_i h.inflight);
-          ("answered", num_i h.answered);
-          ("workers", num_i h.workers);
-          ("respawns", num_i h.respawns);
-          ( "memo",
-            Json.Obj (List.map (fun (k, n) -> (k, num_i n)) h.memo_sizes) );
-          ("memo_evictions", num_i h.memo_evictions);
-          ("chaos_injected", num_i h.chaos_injected);
-          ("chaos_killed", num_i h.chaos_killed);
-        ]
   | `Outcome o ->
       Json.Obj
         [
@@ -263,7 +227,6 @@ let decode_request payload =
   let* op = str_field "op" j in
   match op with
   | "ping" -> Ok { id; body = `Ping }
-  | "health" -> Ok { id; body = `Health }
   | "select" ->
       let* s = decode_select j in
       Ok { id; body = `Select s }
@@ -286,61 +249,12 @@ let decode_outcome j =
   in
   Ok { speedup; cycles; baseline_cycles; ext_count; lut_cost; cached }
 
-let decode_health j =
-  let* pid = int_field "pid" j in
-  let* uptime_s =
-    match field "uptime_s" j with
-    | Some (Json.Num f) -> Ok f
-    | _ -> Error "missing or ill-typed field \"uptime_s\""
-  in
-  let* queue_len = int_field "queue_len" j in
-  let* queue_cap = int_field "queue_cap" j in
-  let* inflight = int_field "inflight" j in
-  let* answered = int_field "answered" j in
-  let* workers = int_field "workers" j in
-  let* respawns = int_field "respawns" j in
-  let* memo_sizes =
-    match field "memo" j with
-    | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            match v with
-            | Json.Num f when Float.is_integer f ->
-                Ok ((k, int_of_float f) :: acc)
-            | _ -> Error (Printf.sprintf "memo size %S must be an integer" k))
-          (Ok []) kvs
-        |> Result.map List.rev
-    | _ -> Error "missing or ill-typed field \"memo\""
-  in
-  let* memo_evictions = int_field "memo_evictions" j in
-  let* chaos_injected = int_field "chaos_injected" j in
-  let* chaos_killed = int_field "chaos_killed" j in
-  Ok
-    {
-      pid;
-      uptime_s;
-      queue_len;
-      queue_cap;
-      inflight;
-      answered;
-      workers;
-      respawns;
-      memo_sizes;
-      memo_evictions;
-      chaos_injected;
-      chaos_killed;
-    }
-
 let decode_reply payload =
   let* j = decode_payload payload in
   let* rid = int_field "id" j in
   let* status = str_field "status" j in
   match status with
   | "pong" -> Ok { rid; body = `Pong }
-  | "health" ->
-      let* h = decode_health j in
-      Ok { rid; body = `Health h }
   | "ok" ->
       let* o = decode_outcome j in
       Ok { rid; body = `Outcome o }
@@ -354,20 +268,6 @@ let decode_reply payload =
       in
       Ok { rid; body = `Error (code, message) }
   | other -> Error (Printf.sprintf "unknown status %S" other)
-
-let pp_health ppf (h : health) =
-  Format.fprintf ppf
-    "pid=%d uptime=%.1fs queue=%d/%d inflight=%d answered=%d workers=%d \
-     respawns=%d@,memo:%t evictions=%d@,chaos: injected=%d killed=%d"
-    h.pid h.uptime_s h.queue_len h.queue_cap h.inflight h.answered h.workers
-    h.respawns
-    (fun ppf ->
-      if h.memo_sizes = [] then Format.pp_print_string ppf " (none)"
-      else
-        List.iter
-          (fun (k, n) -> Format.fprintf ppf " %s=%d" k n)
-          h.memo_sizes)
-    h.memo_evictions h.chaos_injected h.chaos_killed
 
 (* ---- framed I/O ---- *)
 

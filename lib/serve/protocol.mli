@@ -40,29 +40,7 @@ type select = {
       (** per-request wall-clock deadline, enforced server-side *)
 }
 
-type request = { id : int; body : [ `Ping | `Health | `Select of select ] }
-(** [`Health] asks for the daemon's liveness snapshot.  The server
-    answers it inline on the connection thread — it never enters the
-    admission queue — so it stays meaningful (and fast) when the queue
-    is full or every worker is busy; the supervisor uses it as its
-    liveness probe. *)
-
-(** The daemon's health snapshot. *)
-type health = {
-  pid : int;
-  uptime_s : float;
-  queue_len : int;  (** requests waiting in the admission queue *)
-  queue_cap : int;
-  inflight : int;  (** admitted requests without a reply yet *)
-  answered : int;  (** replies sent so far (ok, error and shed) *)
-  workers : int;  (** live worker domains *)
-  respawns : int;  (** chaos-killed worker domains respawned *)
-  memo_sizes : (string * int) list;
-      (** completed bindings per cross-request memo table *)
-  memo_evictions : int;  (** cumulative LRU evictions across tables *)
-  chaos_injected : int;
-  chaos_killed : int;
-}
+type request = { id : int; body : [ `Ping | `Select of select ] }
 
 (** A successful selection outcome. *)
 type outcome = {
@@ -84,13 +62,9 @@ type error_code =
 type reply_body =
   [ `Pong
   | `Outcome of outcome
-  | `Health of health
   | `Error of error_code * string ]
 
 type reply = { rid : int; body : reply_body }
-
-val pp_health : Format.formatter -> health -> unit
-(** Multi-line human rendering ([t1000 client --health] prints it). *)
 
 val version : char
 val max_frame : int
@@ -134,9 +108,7 @@ type io_error =
   | `Oversized of int  (** length prefix beyond {!max_frame} *)
   | `Timeout
     (** [SO_RCVTIMEO] fired between frames; the stream is still
-        frame-aligned, so the connection remains usable — the failover
-        client keeps it and deduplicates the late reply when it
-        eventually lands *)
+        frame-aligned, so the connection remains usable *)
   | `Io of string  (** socket error (a timeout {e mid}-frame is [`Io]:
         the stream is desynchronized and the connection unusable) *) ]
 

@@ -1,3 +1,4 @@
+module Env = T1000.Env
 module Fault = T1000.Fault
 module Memo = T1000.Memo
 module Pool = T1000.Pool
@@ -10,72 +11,7 @@ module Extinstr = T1000_select.Extinstr
 module Mconfig = T1000_ooo.Mconfig
 module Stats = T1000_ooo.Stats
 
-type addr = Unix_sock of string | Tcp of string * int
-
-let addr_to_string = function
-  | Unix_sock path -> "unix:" ^ path
-  | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
-let parse_addr s =
-  match String.index_opt s ':' with
-  | None -> Error (Printf.sprintf "address %S: expected unix:PATH or tcp:HOST:PORT" s)
-  | Some i -> (
-      let scheme = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match scheme with
-      | "unix" ->
-          if rest = "" then Error "unix address needs a socket path"
-          else Ok (Unix_sock rest)
-      | "tcp" -> (
-          match String.rindex_opt rest ':' with
-          | None -> Error (Printf.sprintf "tcp address %S: expected HOST:PORT" rest)
-          | Some j -> (
-              let host = String.sub rest 0 j in
-              let port_s = String.sub rest (j + 1) (String.length rest - j - 1) in
-              match int_of_string_opt port_s with
-              | Some p when p >= 0 && p <= 65535 && host <> "" ->
-                  Ok (Tcp (host, p))
-              | _ ->
-                  Error
-                    (Printf.sprintf "tcp address %S: bad host or port" rest)))
-      | other ->
-          Error
-            (Printf.sprintf "unknown address scheme %S (unix: or tcp:)" other))
-
-(* ---- environment knobs (fail-fast, exit-2 policy via validate_env) ---- *)
-
-let env_queue_depth () =
-  match Sys.getenv_opt "T1000_SERVE_QUEUE" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SERVE_QUEUE must be a positive integer, got %S" s)
-
-let env_deadline_ms () =
-  match Sys.getenv_opt "T1000_SERVE_DEADLINE_MS" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some d when d > 0.0 && Float.is_finite d -> Some d
-      | Some _ | None ->
-          Fault.invalid_config
-            "T1000_SERVE_DEADLINE_MS must be a positive number of \
-             milliseconds, got %S"
-            s)
-
-let env_addr () =
-  match Sys.getenv_opt "T1000_SERVE_ADDR" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> (
-      match parse_addr (String.trim s) with
-      | Ok a -> Some a
-      | Error msg -> Fault.invalid_config "T1000_SERVE_ADDR: %s" msg)
+type addr = T1000.Env.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   addrs : addr list;
@@ -89,13 +25,13 @@ type config = {
 
 let default_config () =
   {
-    addrs = (match env_addr () with Some a -> [ a ] | None -> []);
-    queue_depth = Option.value (env_queue_depth ()) ~default:64;
-    njobs = Pool.default_njobs ();
-    default_deadline_ms = env_deadline_ms ();
+    addrs = Option.to_list (Env.serve_addr ());
+    queue_depth = Env.serve_queue ();
+    njobs = Env.njobs ();
+    default_deadline_ms = Env.serve_deadline_ms ();
     retries = None;
     max_steps = 10_000_000;
-    memo_cap = Option.value (Memo.env_cap ()) ~default:Memo.default_cap;
+    memo_cap = Env.memo_cap ();
   }
 
 (* ---- jobs ---- *)
@@ -114,7 +50,6 @@ type job = {
 
 type t = {
   cfg : config;
-  started : float;
   listeners : (addr * Unix.file_descr) list;
   queue : job Squeue.t;
   draining : bool Atomic.t;
@@ -127,7 +62,6 @@ type t = {
   mutable conn_threads : Thread.t list;
   mutable workers : unit Domain.t list;
   mutable pending : job list;  (* admitted, reply not yet written *)
-  mutable inflight : int;
   mutable respawns : int;
   mutable ticker_stop : bool;
   (* cross-request caches (Memo: compute-once, domain-safe) *)
@@ -198,13 +132,12 @@ let create cfg =
           (Tcp (host, port), fd)
     with Unix.Unix_error (e, _, _) ->
       Fault.invalid_config "serve: cannot listen on %s: %s"
-        (addr_to_string addr) (Unix.error_message e)
+        (Env.addr_to_string addr) (Unix.error_message e)
   in
   let listeners = List.map listen_on cfg.addrs in
   let wake_r, wake_w = Unix.pipe () in
   {
     cfg;
-    started = Unix.gettimeofday ();
     listeners;
     queue = Squeue.create ~capacity:cfg.queue_depth;
     draining = Atomic.make false;
@@ -217,7 +150,6 @@ let create cfg =
     conn_threads = [];
     workers = [];
     pending = [];
-    inflight = 0;
     respawns = 0;
     ticker_stop = false;
     analyses = Memo.create ~name:"serve.analysis" ~cap:cfg.memo_cap 16;
@@ -228,44 +160,6 @@ let create cfg =
 
 let bound_addrs t = List.map fst t.listeners
 let answered t = Atomic.get t.answered_c
-
-(* The liveness snapshot behind the wire `health` op.  Everything here
-   is read without blocking on any request: the queue and registry
-   locks are only held for reads, so a health probe answers promptly
-   even when the admission queue is full and every worker is busy. *)
-let health t =
-  Mutex.lock t.sm;
-  let inflight = t.inflight in
-  let workers = List.length t.workers in
-  let respawns = t.respawns in
-  Mutex.unlock t.sm;
-  let injected, killed = Pool.chaos_events () in
-  let memo_sizes =
-    [
-      ("analysis", Memo.length t.analyses);
-      ("baseline", Memo.length t.baselines);
-      ("tables", Memo.length t.tables);
-      ("results", Memo.length t.results);
-    ]
-  in
-  let memo_evictions =
-    Memo.evictions t.analyses + Memo.evictions t.baselines
-    + Memo.evictions t.tables + Memo.evictions t.results
-  in
-  {
-    Protocol.pid = Unix.getpid ();
-    uptime_s = Unix.gettimeofday () -. t.started;
-    queue_len = Squeue.length t.queue;
-    queue_cap = t.cfg.queue_depth;
-    inflight;
-    answered = Atomic.get t.answered_c;
-    workers;
-    respawns;
-    memo_sizes;
-    memo_evictions;
-    chaos_injected = injected;
-    chaos_killed = killed;
-  }
 
 (* ---- the selection pipeline, behind cross-request memo caches ---- *)
 
@@ -528,13 +422,11 @@ let send srv fd reply =
 let register_pending srv job =
   Mutex.lock srv.sm;
   srv.pending <- job :: srv.pending;
-  srv.inflight <- srv.inflight + 1;
   Mutex.unlock srv.sm
 
 let unregister_pending srv (job : job) =
   Mutex.lock srv.sm;
   srv.pending <- List.filter (fun (j : job) -> j.seq <> job.seq) srv.pending;
-  srv.inflight <- srv.inflight - 1;
   Mutex.unlock srv.sm
 
 let handle_select srv fd req_id sel =
@@ -571,7 +463,7 @@ let handle_select srv fd req_id sel =
       }
     in
     (* Registered before admission so the drain sequence cannot close
-       the queue between our check and our push: inflight > 0 holds it
+       the queue between our check and our push: a pending job holds it
        open, and if drain won the race anyway the closed queue fails
        try_push and we shed with a typed reply — never a drop. *)
     register_pending srv job;
@@ -642,13 +534,6 @@ let conn_loop srv (conn_id, fd) () =
                closed := true
            | Ok { Protocol.id; body = `Ping } ->
                send srv fd { Protocol.rid = id; body = `Pong }
-           | Ok { Protocol.id; body = `Health } ->
-               (* Answered inline on the connection thread: a health
-                  probe must not queue behind (or be shed with) the
-                  selection traffic it is there to diagnose. *)
-               Metrics.incr "serve.health_probes";
-               send srv fd
-                 { Protocol.rid = id; body = `Health (health srv) }
            | Ok { Protocol.id; body = `Select sel } -> (
                (* A bad deadline field is the caller's error, answered
                   in-band like every other poisoned request. *)
@@ -707,9 +592,9 @@ let drain srv =
         fail it (and are shed with a typed reply) — nothing hangs. *)
   let rec wait_inflight () =
     Mutex.lock srv.sm;
-    let n = srv.inflight in
+    let idle = srv.pending = [] in
     Mutex.unlock srv.sm;
-    if n > 0 then begin
+    if not idle then begin
       Thread.delay 0.002;
       wait_inflight ()
     end

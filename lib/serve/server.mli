@@ -40,33 +40,9 @@
     subset, so repeated tenants get warm-cache latencies (the [cached]
     reply flag tells them). *)
 
-type addr = Unix_sock of string | Tcp of string * int
-
-val parse_addr : string -> (addr, string) result
-(** ["unix:PATH"] or ["tcp:HOST:PORT"]. *)
-
-val addr_to_string : addr -> string
-
-(** {1 Environment knobs}
-
-    Validated with the same fail-fast policy as every other [T1000_*]
-    variable (the CLI calls these in [validate_env] and exits 2 on a
-    bad value). *)
-
-val env_queue_depth : unit -> int option
-(** [T1000_SERVE_QUEUE]: admission queue depth.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      integer. *)
-
-val env_deadline_ms : unit -> float option
-(** [T1000_SERVE_DEADLINE_MS]: default per-request deadline.
-    @raise T1000.Fault.Error with [Invalid_config] unless a positive
-      finite number. *)
-
-val env_addr : unit -> addr option
-(** [T1000_SERVE_ADDR]: default listen address.
-    @raise T1000.Fault.Error with [Invalid_config] on an unparsable
-      address. *)
+type addr = T1000.Env.addr = Unix_sock of string | Tcp of string * int
+(** Parsed and printed by {!T1000.Env.parse_addr} and
+    {!T1000.Env.addr_to_string}. *)
 
 type config = {
   addrs : addr list;  (** listen addresses (at least one) *)
@@ -87,11 +63,11 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Environment-driven defaults: [T1000_SERVE_ADDR] (else no address —
-    {!create} insists the caller names one), [T1000_SERVE_QUEUE] (else
-    64), [T1000_NJOBS] workers, [T1000_SERVE_DEADLINE_MS] (else none),
-    10M functional steps, [T1000_MEMO_CAP] (else
-    {!T1000.Memo.default_cap}) memo entries per table. *)
+(** Environment-driven defaults ({!T1000.Env}): [T1000_SERVE_ADDR]
+    (else no address — {!create} insists the caller names one),
+    [T1000_SERVE_QUEUE], [T1000_NJOBS] workers,
+    [T1000_SERVE_DEADLINE_MS], 10M functional steps and
+    [T1000_MEMO_CAP] memo entries per table. *)
 
 type t
 
@@ -122,9 +98,3 @@ val stop : t -> unit
 val answered : t -> int
 (** Requests answered so far (ok, error and shed replies included) —
     the CLI prints this in its drain summary. *)
-
-val health : t -> Protocol.health
-(** The liveness snapshot the wire [`Health] op answers with: uptime,
-    queue depth and capacity, in-flight count, reply count, live
-    workers, chaos counters, and per-table memo sizes with cumulative
-    LRU evictions.  Lock-light: never blocks on request traffic. *)

@@ -69,9 +69,10 @@ let test_fault_classify () =
   check_bool "renderable" true
     (String.length (Fault.to_string (Fault.Invalid_config "x")) > 0)
 
-let test_fault_getenv_bool () =
-  let get v = with_env "T1000_SELFCHECK" v (fun () -> Fault.getenv_bool "T1000_SELFCHECK") in
+let test_env_bool () =
+  let get v = with_env "T1000_SELFCHECK" v Env.selfcheck in
   check_bool "empty is false" false (get "");
+  check_bool "case-insensitive" true (get " TRUE ");
   check_bool "0 is false" false (get "0");
   check_bool "no is false" false (get "no");
   check_bool "1 is true" true (get "1");
@@ -80,6 +81,112 @@ let test_fault_getenv_bool () =
     (match get "maybe" with
     | _ -> false
     | exception Fault.Error (Fault.Invalid_config _) -> true)
+
+(* ---------- Env: every knob, one row each ---------- *)
+
+type env_row = {
+  var : string;
+  blank : unit -> bool;  (* the default, read with the variable blank *)
+  valid : string;
+  parsed : unit -> bool;  (* what [valid] reads as *)
+  garbage : string;
+}
+
+let test_env_table () =
+  let file = Filename.temp_file "t1000_env" ".not_a_dir" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let row var ~blank ~valid ~parsed ~garbage =
+    { var; blank; valid; parsed; garbage }
+  in
+  let names ws = List.map (fun (w : Workload.t) -> w.Workload.name) ws in
+  let table =
+    [
+      row "T1000_NJOBS"
+        ~blank:(fun () -> Env.njobs () = Domain.recommended_domain_count ())
+        ~valid:"3" ~parsed:(fun () -> Env.njobs () = 3) ~garbage:"banana";
+      row "T1000_WORKLOADS"
+        ~blank:(fun () -> names (Env.workloads ()) = Registry.names)
+        ~valid:"unepic, epic"
+        ~parsed:(fun () -> names (Env.workloads ()) = [ "unepic"; "epic" ])
+        ~garbage:"unepic,banana";
+      row "T1000_MAX_CYCLES"
+        ~blank:(fun () -> Env.max_cycles () = None)
+        ~valid:"5" ~parsed:(fun () -> Env.max_cycles () = Some 5)
+        ~garbage:"abc";
+      row "T1000_SELFCHECK"
+        ~blank:(fun () -> not (Env.selfcheck ()))
+        ~valid:"yes" ~parsed:Env.selfcheck ~garbage:"maybe";
+      row "T1000_METRICS"
+        ~blank:(fun () -> not (Env.metrics ()))
+        ~valid:"1" ~parsed:Env.metrics ~garbage:"sometimes";
+      row "T1000_BPRED"
+        ~blank:(fun () -> Env.bpred () = T1000_bpred.Predictor.Perfect)
+        ~valid:"gshare:12"
+        ~parsed:(fun () -> Env.bpred () = T1000_bpred.Predictor.Gshare 12)
+        ~garbage:"gshare:99";
+      row "T1000_CHAOS"
+        ~blank:(fun () -> Env.chaos () = 0.0)
+        ~valid:"0.3" ~parsed:(fun () -> Env.chaos () = 0.3) ~garbage:"1.5";
+      row "T1000_CHAOS_SEED"
+        ~blank:(fun () -> Env.chaos_seed () = 1)
+        ~valid:"42" ~parsed:(fun () -> Env.chaos_seed () = 42) ~garbage:"x";
+      row "T1000_RETRIES"
+        ~blank:(fun () -> Env.retries () = None)
+        ~valid:"3" ~parsed:(fun () -> Env.retries () = Some 3) ~garbage:"-1";
+      row "T1000_BACKOFF_SCALE"
+        ~blank:(fun () -> Env.backoff_scale () = 1.0)
+        ~valid:"0" ~parsed:(fun () -> Env.backoff_scale () = 0.0)
+        ~garbage:"fast";
+      row "T1000_CHECKPOINT_DIR"
+        ~blank:(fun () -> Env.checkpoint_dir () = None)
+        ~valid:"/nonexistent/t1000-journal"
+        ~parsed:(fun () ->
+          Env.checkpoint_dir () = Some "/nonexistent/t1000-journal")
+        ~garbage:file;
+      row "T1000_FAULT_INJECT"
+        ~blank:(fun () -> Env.fault_inject () = None)
+        ~valid:"g721_dec"
+        ~parsed:(fun () -> Env.fault_inject () = Some "g721_dec")
+        ~garbage:"unepicc";
+      row "T1000_MEMO_CAP"
+        ~blank:(fun () -> Env.memo_cap () = Memo.default_cap)
+        ~valid:"64" ~parsed:(fun () -> Env.memo_cap () = 64) ~garbage:"lots";
+      row "T1000_SERVE_QUEUE"
+        ~blank:(fun () -> Env.serve_queue () = 64)
+        ~valid:"17" ~parsed:(fun () -> Env.serve_queue () = 17)
+        ~garbage:"many";
+      row "T1000_SERVE_DEADLINE_MS"
+        ~blank:(fun () -> Env.serve_deadline_ms () = None)
+        ~valid:"250.5"
+        ~parsed:(fun () -> Env.serve_deadline_ms () = Some 250.5)
+        ~garbage:"inf";
+      row "T1000_SERVE_ADDR"
+        ~blank:(fun () -> Env.serve_addr () = None)
+        ~valid:"unix:/tmp/x.sock"
+        ~parsed:(fun () -> Env.serve_addr () = Some (Env.Unix_sock "/tmp/x.sock"))
+        ~garbage:"carrier-pigeon:coop";
+      row "T1000_SERVE_BENCH_REQUESTS"
+        ~blank:(fun () -> Env.serve_bench_requests () = 8)
+        ~valid:"2" ~parsed:(fun () -> Env.serve_bench_requests () = 2)
+        ~garbage:"0";
+    ]
+  in
+  Alcotest.(check (list string))
+    "one row per knob" (List.map fst Env.knobs)
+    (List.map (fun r -> r.var) table);
+  List.iter
+    (fun r ->
+      let check = List.assoc r.var Env.knobs in
+      check_bool (r.var ^ " blank is the default") true
+        (with_env r.var "  " r.blank);
+      check_bool (r.var ^ " parses " ^ r.valid) true
+        (with_env r.var r.valid r.parsed);
+      check_bool (r.var ^ " rejects " ^ r.garbage) true
+        (with_env r.var r.garbage (fun () ->
+             match check () with
+             | () -> false
+             | exception Fault.Error (Fault.Invalid_config _) -> true)))
+    table
 
 (* ---------- Pool.parallel_map_result ---------- *)
 
@@ -250,19 +357,19 @@ let test_checkpoint_dir_validation () =
   let dir = fresh_dir () in
   (* unset/empty and a (possibly not-yet-existing) directory are fine *)
   check_bool "unset ok" true
-    (with_env Checkpoint.env_var "" (fun () ->
-         Checkpoint.default_dir_validated () = None));
+    (with_env "T1000_CHECKPOINT_DIR" "" (fun () ->
+         Env.checkpoint_dir () = None));
   check_bool "missing dir ok" true
-    (with_env Checkpoint.env_var dir (fun () ->
-         Checkpoint.default_dir_validated () = Some dir));
+    (with_env "T1000_CHECKPOINT_DIR" dir (fun () ->
+         Env.checkpoint_dir () = Some dir));
   (* pointing it at an existing file is a misconfiguration *)
   let file = Filename.temp_file "t1000_ckpt" ".not_a_dir" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
       check_bool "file rejected" true
-        (with_env Checkpoint.env_var file (fun () ->
-             match Checkpoint.default_dir_validated () with
+        (with_env "T1000_CHECKPOINT_DIR" file (fun () ->
+             match Env.checkpoint_dir () with
              | _ -> false
              | exception Fault.Error (Fault.Invalid_config _) -> true)))
 
@@ -347,22 +454,25 @@ let test_watchdog_no_pfu () =
       check_int "ext and halt wait in the IFQ" 2 s.Sim.ifq_length)
     (stuck_at ~ext_eval:(fun _ v1 _ -> v1) m p)
 
+(* The override is applied by Runner.run to the machine it simulates,
+   so it beats the setup's machine (and a serve request's budget). *)
 let test_watchdog_env_override () =
+  let w =
+    {
+      Workload.name = "loop";
+      description = "countdown loop";
+      program = loop_program ();
+      init = (fun _ _ -> ());
+      out_base = Kit.out_base;
+      out_len = 0;
+    }
+  in
   with_env "T1000_MAX_CYCLES" "5" (fun () ->
       check_bool "env override wins over mconfig" true
-        (match
-           Sim.run ~init:(fun _ _ -> ()) (loop_program ())
-         with
+        (match Runner.run w (Runner.setup Runner.Baseline) with
         | _ -> false
         | exception Sim.Sim_stuck s ->
-            s.Sim.reason = `Cycle_budget && s.Sim.limit = 5));
-  with_env "T1000_MAX_CYCLES" "abc" (fun () ->
-      check_bool "garbage env rejected" true
-        (match Sim.env_max_cycles () with
-        | _ -> false
-        | exception Invalid_argument _ -> true));
-  with_env "T1000_MAX_CYCLES" "" (fun () ->
-      check_bool "empty means unset" true (Sim.env_max_cycles () = None))
+            s.Sim.reason = `Cycle_budget && s.Sim.limit = 5))
 
 let test_watchdog_no_commit () =
   (* One extended instruction that takes 200 cycles: commits stop for
@@ -500,8 +610,9 @@ let () =
       ( "fault",
         [
           Alcotest.test_case "classification" `Quick test_fault_classify;
-          Alcotest.test_case "getenv_bool" `Quick test_fault_getenv_bool;
+          Alcotest.test_case "getenv_bool" `Quick test_env_bool;
         ] );
+      ("env", [ Alcotest.test_case "knob table" `Quick test_env_table ]);
       ( "pool",
         [
           Alcotest.test_case "fault isolation" `Quick test_pool_isolation;

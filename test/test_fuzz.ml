@@ -308,6 +308,7 @@ let test_corpus_folds () =
 module F = T1000_fuzz
 module Pool = T1000.Pool
 module Fault = T1000.Fault
+module Env = T1000.Env
 
 let with_env var value f =
   let saved = Sys.getenv_opt var in
@@ -457,19 +458,19 @@ let test_chaos_env_validation () =
         | exception Fault.Error (Fault.Invalid_config _) -> true)
   in
   Alcotest.(check bool) "T1000_CHAOS garbage rejected" true
-    (rejects "T1000_CHAOS" "banana" Pool.env_chaos);
+    (rejects "T1000_CHAOS" "banana" Env.chaos);
   Alcotest.(check bool) "T1000_CHAOS out of range rejected" true
-    (rejects "T1000_CHAOS" "1.5" Pool.env_chaos);
+    (rejects "T1000_CHAOS" "1.5" Env.chaos);
   Alcotest.(check bool) "T1000_CHAOS valid accepted" true
-    (with_env "T1000_CHAOS" "0.3" (fun () -> Pool.env_chaos () = 0.3));
+    (with_env "T1000_CHAOS" "0.3" (fun () -> Env.chaos () = 0.3));
   Alcotest.(check bool) "T1000_CHAOS empty is off" true
-    (with_env "T1000_CHAOS" "" (fun () -> Pool.env_chaos () = 0.0));
+    (with_env "T1000_CHAOS" "" (fun () -> Env.chaos () = 0.0));
   Alcotest.(check bool) "T1000_CHAOS_SEED garbage rejected" true
-    (rejects "T1000_CHAOS_SEED" "x" Pool.env_chaos_seed);
+    (rejects "T1000_CHAOS_SEED" "x" Env.chaos_seed);
   Alcotest.(check bool) "T1000_RETRIES negative rejected" true
-    (rejects "T1000_RETRIES" "-1" Pool.env_retries);
+    (rejects "T1000_RETRIES" "-1" Env.retries);
   Alcotest.(check bool) "T1000_RETRIES valid accepted" true
-    (with_env "T1000_RETRIES" "3" (fun () -> Pool.env_retries () = Some 3))
+    (with_env "T1000_RETRIES" "3" (fun () -> Env.retries () = Some 3))
 
 (* ---- corruption drills and the end-to-end chaos soak ---- *)
 

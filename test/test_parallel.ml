@@ -51,17 +51,17 @@ let test_pool_exception () =
 
 let test_pool_njobs_env () =
   with_njobs "1" (fun () ->
-      check_int "T1000_NJOBS=1 honored" 1 (Pool.default_njobs ()));
+      check_int "T1000_NJOBS=1 honored" 1 (Env.njobs ()));
   with_njobs "7" (fun () ->
-      check_int "T1000_NJOBS=7 honored" 7 (Pool.default_njobs ()));
+      check_int "T1000_NJOBS=7 honored" 7 (Env.njobs ()));
   with_njobs "" (fun () ->
       check_int "empty means unset" (Domain.recommended_domain_count ())
-        (Pool.default_njobs ()));
+        (Env.njobs ()));
   with_njobs "zero" (fun () ->
       check_bool "garbage rejected" true
-        (match Pool.default_njobs () with
+        (match Env.njobs () with
         | _ -> false
-        | exception Invalid_argument _ -> true))
+        | exception Fault.Error (Fault.Invalid_config _) -> true))
 
 (* ---------- Memo ---------- *)
 

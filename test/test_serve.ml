@@ -1,8 +1,8 @@
 (* Tests for the selection-as-a-service layer (lib/serve): the wire
    codec and its strict parser, framed I/O edge cases (truncation,
    oversized lengths, garbage version bytes, mid-frame disconnects),
-   the bounded admission queue, the T1000_SERVE_* / T1000_BACKOFF_SCALE
-   environment knobs, request-level pool submission — and end-to-end
+   the bounded admission queue, the serve and backoff environment knobs
+   beyond test_fault's Env table, request-level pool submission — and end-to-end
    daemon sessions exercising the robustness envelope: shedding under
    overload, wall-clock and cycle-budget deadlines, fault isolation,
    chaos soak, and graceful drain. *)
@@ -10,6 +10,8 @@
 module Fault = T1000.Fault
 module Pool = T1000.Pool
 module Memo = T1000.Memo
+module Env = T1000.Env
+module Metrics = T1000_obs.Metrics
 module Protocol = T1000_serve.Protocol
 module Squeue = T1000_serve.Squeue
 module Server = T1000_serve.Server
@@ -226,11 +228,10 @@ let test_squeue () =
 
 (* ---------- environment knobs ---------- *)
 
+(* Blank, one valid and one garbage value of every knob are in
+   test_fault's Env table; these are the cases beyond it. *)
 let test_env_backoff_scale () =
-  with_env [ ("T1000_BACKOFF_SCALE", "") ] (fun () ->
-      check_bool "unset -> 1.0" true (Pool.env_backoff_scale () = 1.0));
   with_env [ ("T1000_BACKOFF_SCALE", "0") ] (fun () ->
-      check_bool "zero allowed" true (Pool.env_backoff_scale () = 0.0);
       check_bool "zero disables sleeping" true (Pool.backoff_delay 5 = 0.0));
   with_env [ ("T1000_BACKOFF_SCALE", "2") ] (fun () ->
       check_bool "scales the schedule" true
@@ -238,77 +239,41 @@ let test_env_backoff_scale () =
       (* the 50 ms cap applies before the scale *)
       check_bool "cap then scale" true (Pool.backoff_delay 30 = 0.1));
   with_env [ ("T1000_BACKOFF_SCALE", "-0.5") ] (fun () ->
-      invalid_config Pool.env_backoff_scale);
-  with_env [ ("T1000_BACKOFF_SCALE", "fast") ] (fun () ->
-      invalid_config Pool.env_backoff_scale);
+      invalid_config Env.backoff_scale);
   with_env [ ("T1000_BACKOFF_SCALE", "nan") ] (fun () ->
-      invalid_config Pool.env_backoff_scale)
+      invalid_config Env.backoff_scale)
 
 let test_env_serve_knobs () =
-  with_env [ ("T1000_SERVE_QUEUE", "") ] (fun () ->
-      check_bool "queue unset" true (Server.env_queue_depth () = None));
-  with_env [ ("T1000_SERVE_QUEUE", "17") ] (fun () ->
-      check_bool "queue set" true (Server.env_queue_depth () = Some 17));
   with_env [ ("T1000_SERVE_QUEUE", "0") ] (fun () ->
-      invalid_config Server.env_queue_depth);
+      invalid_config Env.serve_queue);
   with_env [ ("T1000_SERVE_QUEUE", "-3") ] (fun () ->
-      invalid_config Server.env_queue_depth);
-  with_env [ ("T1000_SERVE_QUEUE", "many") ] (fun () ->
-      invalid_config Server.env_queue_depth);
-  with_env [ ("T1000_SERVE_DEADLINE_MS", "250.5") ] (fun () ->
-      check_bool "deadline set" true (Server.env_deadline_ms () = Some 250.5));
+      invalid_config Env.serve_queue);
   with_env [ ("T1000_SERVE_DEADLINE_MS", "0") ] (fun () ->
-      invalid_config Server.env_deadline_ms);
-  with_env [ ("T1000_SERVE_DEADLINE_MS", "inf") ] (fun () ->
-      invalid_config Server.env_deadline_ms);
-  with_env [ ("T1000_SERVE_ADDR", "unix:/tmp/x.sock") ] (fun () ->
-      check_bool "addr set" true
-        (Server.env_addr () = Some (Server.Unix_sock "/tmp/x.sock")));
-  with_env [ ("T1000_SERVE_ADDR", "carrier-pigeon:coop") ] (fun () ->
-      invalid_config Server.env_addr)
-
-let test_env_supervise_knobs () =
-  let module Sup = T1000_serve.Supervisor in
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "") ] (fun () ->
-      check_bool "replicas unset" true (Sup.env_replicas () = None));
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "4") ] (fun () ->
-      check_bool "replicas set" true (Sup.env_replicas () = Some 4));
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "0") ] (fun () ->
-      invalid_config Sup.env_replicas);
-  with_env [ ("T1000_SUPERVISE_REPLICAS", "armada") ] (fun () ->
-      invalid_config Sup.env_replicas);
-  with_env [ ("T1000_SUPERVISE_RESTARTS", "0") ] (fun () ->
-      check_bool "zero restarts allowed" true (Sup.env_restarts () = Some 0));
-  with_env [ ("T1000_SUPERVISE_RESTARTS", "-1") ] (fun () ->
-      invalid_config Sup.env_restarts);
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "250") ] (fun () ->
-      check_bool "health period set" true (Sup.env_health_ms () = Some 250.0));
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "0") ] (fun () ->
-      invalid_config Sup.env_health_ms);
-  with_env [ ("T1000_SUPERVISE_HEALTH_MS", "soon") ] (fun () ->
-      invalid_config Sup.env_health_ms);
-  (* Config-level validation mirrors the env checks. *)
-  let base = Sup.default_config () in
-  let rejects what cfg =
-    check_bool what true
-      (match Sup.create cfg with
-      | exception Fault.Error (Fault.Invalid_config _) -> true
-      | _ -> false)
-  in
-  rejects "replicas < 1" { base with Sup.replicas = 0 };
-  rejects "negative budget" { base with Sup.restarts = -1 };
-  rejects "non-positive period" { base with Sup.health_period_s = 0.0 };
-  rejects "wedged_after < 1" { base with Sup.wedged_after = 0 }
+      invalid_config Env.serve_deadline_ms);
+  with_env
+    [
+      ("T1000_SERVE_QUEUE", "17");
+      ("T1000_SERVE_DEADLINE_MS", "250.5");
+      ("T1000_SERVE_ADDR", "unix:/tmp/x.sock");
+      ("T1000_MEMO_CAP", "64");
+    ]
+    (fun () ->
+      let cfg = Server.default_config () in
+      check_bool "default_config reads the knobs" true
+        (cfg.Server.queue_depth = 17
+        && cfg.Server.default_deadline_ms = Some 250.5
+        && cfg.Server.addrs = [ Server.Unix_sock "/tmp/x.sock" ]
+        && cfg.Server.memo_cap = 64))
 
 let test_parse_addr () =
   check_bool "unix" true
-    (Server.parse_addr "unix:/run/t.sock" = Ok (Server.Unix_sock "/run/t.sock"));
+    (Env.parse_addr "unix:/run/t.sock" = Ok (Server.Unix_sock "/run/t.sock"));
   check_bool "tcp" true
-    (Server.parse_addr "tcp:127.0.0.1:8080"
+    (Env.parse_addr "tcp:127.0.0.1:8080"
     = Ok (Server.Tcp ("127.0.0.1", 8080)));
   check_bool "tcp port 0" true
-    (Server.parse_addr "tcp:localhost:0" = Ok (Server.Tcp ("localhost", 0)));
-  let bad s = check_bool s true (Result.is_error (Server.parse_addr s)) in
+    (Env.parse_addr "tcp:localhost:0" = Ok (Server.Tcp ("localhost", 0)));
+  let bad s = check_bool s true (Result.is_error (Env.parse_addr s)) in
   bad "nonsense";
   bad "unix:";
   bad "tcp:localhost";
@@ -316,7 +281,7 @@ let test_parse_addr () =
   bad "tcp:localhost:70000";
   bad "tcp:localhost:a";
   check_bool "round-trip" true
-    (Server.parse_addr (Server.addr_to_string (Server.Tcp ("h", 9)))
+    (Env.parse_addr (Env.addr_to_string (Server.Tcp ("h", 9)))
     = Ok (Server.Tcp ("h", 9)))
 
 (* ---------- request-level pool submission ---------- *)
@@ -472,13 +437,8 @@ let test_memo_pending_not_evicted () =
   check_int "k2 evicted on slow's completion" 2 (Memo.evictions m)
 
 let test_memo_env_cap () =
-  with_env [ (Memo.env_var, "") ] (fun () ->
-      check_bool "unset -> None" true (Memo.env_cap () = None));
-  with_env [ (Memo.env_var, "64") ] (fun () ->
-      check_bool "set" true (Memo.env_cap () = Some 64));
-  with_env [ (Memo.env_var, "0") ] (fun () -> invalid_config Memo.env_cap);
-  with_env [ (Memo.env_var, "-4") ] (fun () -> invalid_config Memo.env_cap);
-  with_env [ (Memo.env_var, "lots") ] (fun () -> invalid_config Memo.env_cap);
+  with_env [ ("T1000_MEMO_CAP", "0") ] (fun () -> invalid_config Env.memo_cap);
+  with_env [ ("T1000_MEMO_CAP", "-4") ] (fun () -> invalid_config Env.memo_cap);
   check_bool "create rejects cap 0" true
     (match Memo.create ~cap:0 4 with
     | exception Invalid_argument _ -> true
@@ -835,7 +795,7 @@ let test_e2e_chaos_soak () =
         (fun i r ->
           match r with
           | None -> Alcotest.failf "request %d dropped" i
-          | Some (`Outcome _) | Some `Pong | Some (`Health _) -> ()
+          | Some (`Outcome _) | Some `Pong -> ()
           | Some (`Error (code, msg)) ->
               (* Typed errors only; under retries the transient
                  injections should all have been absorbed, so what is
@@ -926,40 +886,13 @@ let test_e2e_tcp () =
   | `Outcome o -> check_int "tcp outcome" 80 o.Protocol.cycles
   | _ -> Alcotest.fail "expected an outcome over tcp"
 
-(* ---------- health ---------- *)
+(* ---------- liveness ---------- *)
 
-let test_e2e_health () =
-  with_server ~queue:8 ~njobs:2 @@ fun srv addr ->
-  let c = connect_exn addr in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (match Client.health c with
-  | Error m -> Alcotest.failf "health: %s" m
-  | Ok h ->
-      (* The with_server daemon runs in-process. *)
-      check_int "pid" (Unix.getpid ()) h.Protocol.pid;
-      check_int "queue cap" 8 h.Protocol.queue_cap;
-      check_int "workers" 2 h.Protocol.workers;
-      check_bool "uptime sane" true
-        (h.Protocol.uptime_s >= 0.0 && h.Protocol.uptime_s < 3600.0);
-      check_bool "memo tables listed" true
-        (List.map fst h.Protocol.memo_sizes
-        = [ "analysis"; "baseline"; "tables"; "results" ]));
-  (match request_exn c (sel ~kernel:(tiny_asm ()) ()) with
-  | `Outcome _ -> ()
-  | _ -> Alcotest.fail "expected an outcome");
-  (match Client.health c with
-  | Error m -> Alcotest.failf "health: %s" m
-  | Ok h ->
-      check_bool "answered counted" true (h.Protocol.answered >= 2);
-      check_bool "memo warmed" true
-        (List.exists (fun (_, n) -> n > 0) h.Protocol.memo_sizes));
-  check_bool "matches in-process snapshot" true
-    ((Server.health srv).Protocol.queue_cap = 8)
-
-(* [`Health] must bypass the admission queue: with the one worker and
-   the whole queue occupied by a slow request, a health probe on a
-   second connection still answers while the slow request is running. *)
-let test_e2e_health_bypasses_queue () =
+(* [`Ping] is answered on the connection thread, before the admission
+   queue: with the one worker and the whole queue occupied by a slow
+   request, a ping on a second connection still answers while the slow
+   request is running. *)
+let test_e2e_ping_bypasses_queue () =
   with_server ~queue:1 ~njobs:1 @@ fun _srv addr ->
   let slow_done = Atomic.make false in
   let slow =
@@ -974,37 +907,49 @@ let test_e2e_health_bypasses_queue () =
   Thread.delay 0.1;
   let c = connect_exn addr in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-      match Client.health c with
-      | Error m -> Alcotest.failf "health under load: %s" m
-      | Ok h ->
-          check_bool "answered while the worker was busy" true
-            (not (Atomic.get slow_done));
-          check_bool "saw the in-flight request" true (h.Protocol.inflight >= 1));
+      check_bool "ping answered" true (Client.ping c = Ok ());
+      check_bool "answered while the worker was busy" true
+        (not (Atomic.get slow_done)));
   Thread.join slow
 
 (* ---------- memo cap end-to-end ---------- *)
 
 let test_e2e_memo_cap () =
-  with_server ~memo_cap:1 @@ fun srv addr ->
-  let c = connect_exn addr in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let outcome k =
-    match request_exn c (sel ~kernel:k ()) with
-    | `Outcome o -> o
-    | _ -> Alcotest.fail "expected an outcome"
+  let tables = [ "analysis"; "baseline"; "tables"; "results" ] in
+  let counts () =
+    List.map
+      (fun t ->
+        let get what = Metrics.get (Printf.sprintf "memo.serve.%s.%s" t what) in
+        (get "misses", get "evictions"))
+      tables
   in
-  let a1 = outcome (tiny_asm ~salt:"a" ()) in
-  let _ = outcome (tiny_asm ~salt:"b" ()) in
-  let _ = outcome (tiny_asm ~salt:"c" ()) in
-  let h = Server.health srv in
-  check_bool "evictions happened" true (h.Protocol.memo_evictions > 0);
-  List.iter
-    (fun (name, n) ->
-      check_bool (Printf.sprintf "table %s within cap" name) true (n <= 1))
-    h.Protocol.memo_sizes;
+  let before = counts () in
+  let a1, a2 =
+    with_server ~memo_cap:1 @@ fun _srv addr ->
+    let c = connect_exn addr in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let outcome k =
+      match request_exn c (sel ~kernel:k ()) with
+      | `Outcome o -> o
+      | _ -> Alcotest.fail "expected an outcome"
+    in
+    let a1 = outcome (tiny_asm ~salt:"a" ()) in
+    let _ = outcome (tiny_asm ~salt:"b" ()) in
+    let _ = outcome (tiny_asm ~salt:"c" ()) in
+    (a1, outcome (tiny_asm ~salt:"a" ()))
+  in
+  (* Read after the drain joined every worker, so the merged counters
+     are exact.  Each table started empty and inserts once per miss, so
+     it holds misses - evictions bindings. *)
+  List.iter2
+    (fun t ((m0, e0), (m1, e1)) ->
+      check_int (t ^ ": every request missed") 4 (m1 - m0);
+      check_int (t ^ ": held within the cap of 1") 1
+        ((m1 - m0) - (e1 - e0)))
+    tables
+    (List.combine before (counts ()));
   (* An evicted kernel recomputes to byte-identical numbers — eviction
      may cost latency, never correctness. *)
-  let a2 = outcome (tiny_asm ~salt:"a" ()) in
   check_bool "recompute is cold" true (not a2.Protocol.cached);
   check_bool "recompute byte-identical" true
     ({ a1 with Protocol.cached = false } = { a2 with Protocol.cached = false })
@@ -1058,286 +1003,10 @@ let test_stale_socket () =
   check_bool "file untouched" true
     (In_channel.with_open_text regular In_channel.input_all = "precious\n")
 
-(* ---------- failover client ---------- *)
-
-(* Two independent daemons in-process; requests spread round-robin, and
-   stopping one replica moves its share to the other with zero request
-   failures. *)
-let test_failover_spread_and_failover () =
-  with_server ~queue:16 ~njobs:1 @@ fun srv_a addr_a ->
-  with_server ~queue:16 ~njobs:1 @@ fun srv_b addr_b ->
-  let fo = Client.Failover.create [ addr_a; addr_b ] in
-  Fun.protect ~finally:(fun () -> Client.Failover.close fo) @@ fun () ->
-  check_int "endpoints" 2 (Client.Failover.endpoints fo);
-  (match Client.Failover.ping fo with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "failover ping: %s" m);
-  for i = 1 to 8 do
-    match Client.Failover.request fo (sel ~kernel:(tiny_asm ()) ()) with
-    | Ok (`Outcome _) -> ()
-    | Ok _ -> Alcotest.failf "request %d: expected an outcome" i
-    | Error m -> Alcotest.failf "request %d: %s" i m
-  done;
-  let a0 = Server.answered srv_a and b0 = Server.answered srv_b in
-  check_bool "round-robin reached both replicas" true (a0 > 0 && b0 > 0);
-  (* Kill replica A (graceful here; the process-level SIGKILL drill
-     lives in the supervisor tests) and keep requesting: every request
-     must still succeed via replica B. *)
-  Server.stop srv_a;
-  for i = 1 to 6 do
-    match Client.Failover.request fo (sel ~kernel:(tiny_asm ()) ()) with
-    | Ok (`Outcome _) -> ()
-    | Ok (`Error (code, m)) ->
-        Alcotest.failf "request %d after kill: error[%s] %s" i
-          (Protocol.string_of_code code)
-          m
-    | Ok _ -> Alcotest.failf "request %d after kill: unexpected reply" i
-    | Error m -> Alcotest.failf "request %d after kill: %s" i m
-  done;
-  check_bool "replica B absorbed the failover" true
-    (Server.answered srv_b > b0)
-
-(* A replica that answers slower than the receive timeout: the request
-   is retried (same id, same connection), the late duplicate replies
-   are dropped by id — never surfaced as the answer to a newer
-   request. *)
-let test_failover_timeout_dedup () =
-  with_server ~queue:16 ~njobs:1 @@ fun _srv addr ->
-  let fo = Client.Failover.create ~cycles:8 ~timeout_s:0.25 [ addr ] in
-  Fun.protect ~finally:(fun () -> Client.Failover.close fo) @@ fun () ->
-  (* ~0.5 s of simulation vs a 0.25 s receive timeout: at least one
-     receive times out and is re-sent before a reply lands. *)
-  (match Client.Failover.request fo (sel ~kernel:(slow_asm ~salt:"dd" ()) ()) with
-  | Ok (`Outcome o) -> check_bool "slow outcome" true (o.Protocol.cycles > 0)
-  | Ok _ -> Alcotest.fail "expected an outcome"
-  | Error m -> Alcotest.failf "slow request: %s" m);
-  (* The duplicate sends above left duplicate replies in flight on the
-     kept connection; the next request must skip them all and get its
-     own answer. *)
-  (match Client.Failover.request fo (sel ~kernel:(tiny_asm ~salt:"dd2" ()) ()) with
-  | Ok (`Outcome o) -> check_int "tiny after dup backlog" 80 o.Protocol.cycles
-  | Ok _ -> Alcotest.fail "expected an outcome"
-  | Error m -> Alcotest.failf "request after dups: %s" m);
-  check_bool "late duplicates were dropped by id" true
-    (Client.Failover.dropped_duplicates fo >= 1)
-
-(* ---------- the supervised tier (real child processes) ---------- *)
-
-let cli_exe =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "t1000_cli.exe"))
-
-module Sup = T1000_serve.Supervisor
-
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "t1000-sup-test-%d-%d" (Unix.getpid ()) !n)
-
-let sup_config ?(replicas = 3) ?(restarts = 5) ?(health_period_s = 0.2)
-    ?(health_timeout_s = 0.5) ?(wedged_after = 100) ?(serve_args = []) () =
-  {
-    Sup.exe = cli_exe;
-    replicas;
-    socket_dir = fresh_dir ();
-    restarts;
-    health_period_s;
-    health_timeout_s;
-    wedged_after;
-    drain_grace_s = 10.0;
-    serve_args = (if serve_args = [] then [ "--jobs"; "1" ] else serve_args);
-  }
-
-let with_supervisor cfg f =
-  with_env calm_env @@ fun () ->
-  let sup = Sup.create cfg in
-  let th = Thread.create Sup.run sup in
-  Fun.protect
-    (fun () -> f sup)
-    ~finally:(fun () ->
-      Sup.stop sup;
-      Thread.join th)
-
-let wait_until ?(timeout_s = 20.0) what pred =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    if pred () then ()
-    else if Unix.gettimeofday () >= deadline then
-      Alcotest.failf "timed out waiting for %s" what
-    else begin
-      Thread.delay 0.05;
-      go ()
-    end
-  in
-  go ()
-
-(* The acceptance drill: three replicas under concurrent load, one
-   SIGKILLed mid-load.  The failover clients must complete every
-   request with zero drops, the supervisor must respawn the victim, and
-   the merged replies must be byte-identical to a single-daemon run of
-   the same request set. *)
-let test_supervisor_crash_drill () =
-  (* Reference replies from a single in-process daemon. *)
-  let n_clients = 3 and per_client = 8 in
-  let kernel_of ci r = tiny_asm ~salt:(Printf.sprintf "drill-%d-%d" ci r) () in
-  let reference = Hashtbl.create 32 in
-  with_server ~queue:64 ~njobs:2 (fun _srv addr ->
-      let c = connect_exn addr in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      for ci = 0 to n_clients - 1 do
-        for r = 0 to per_client - 1 do
-          match request_exn c (sel ~kernel:(kernel_of ci r) ()) with
-          | `Outcome o ->
-              Hashtbl.replace reference (ci, r)
-                { o with Protocol.cached = false }
-          | _ -> Alcotest.fail "reference run must produce outcomes"
-        done
-      done);
-  let cfg = sup_config ~serve_args:[ "--jobs"; "1"; "--queue"; "32" ] () in
-  with_supervisor cfg @@ fun sup ->
-  (match Sup.wait_ready ~timeout_s:20.0 sup with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "tier not ready: %s" m);
-  let addrs = Sup.sockets sup in
-  let replies = Array.make (n_clients * per_client) None in
-  let started = Atomic.make 0 in
-  let clients =
-    List.init n_clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let fo = Client.Failover.create ~cycles:8 addrs in
-            Fun.protect ~finally:(fun () -> Client.Failover.close fo)
-            @@ fun () ->
-            for r = 0 to per_client - 1 do
-              Atomic.incr started;
-              match Client.Failover.request fo (sel ~kernel:(kernel_of ci r) ()) with
-              | Ok body -> replies.((ci * per_client) + r) <- Some body
-              | Error _ -> ()
-            done)
-          ())
-  in
-  (* Wait until the load is genuinely in flight, then murder one
-     replica outright. *)
-  wait_until "load in flight" (fun () -> Atomic.get started >= n_clients);
-  let victim = List.nth (Sup.pids sup) 0 in
-  check_bool "victim pid sane" true (victim > 0);
-  Unix.kill victim Sys.sigkill;
-  List.iter Thread.join clients;
-  (* Zero drops: every request answered with the reference outcome. *)
-  Array.iteri
-    (fun i r ->
-      let ci = i / per_client and rq = i mod per_client in
-      match r with
-      | None -> Alcotest.failf "request %d.%d dropped" ci rq
-      | Some (`Outcome o) ->
-          check_bool
-            (Printf.sprintf "request %d.%d byte-identical to single-daemon"
-               ci rq)
-            true
-            (Some { o with Protocol.cached = false }
-            = Hashtbl.find_opt reference (ci, rq))
-      | Some (`Error (code, msg)) ->
-          Alcotest.failf "request %d.%d failed: error[%s] %s" ci rq
-            (Protocol.string_of_code code)
-            msg
-      | Some _ -> Alcotest.failf "request %d.%d: unexpected reply" ci rq)
-    replies;
-  (* The victim was respawned within the restart budget. *)
-  wait_until "respawn" (fun () -> Sup.restarts_total sup >= 1);
-  (match Sup.wait_ready ~timeout_s:20.0 sup with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "tier not ready after respawn: %s" m);
-  check_bool "no replica gave up" true (not (Sup.gave_up sup));
-  check_bool "the kill is in the incident log" true
-    (List.exists
-       (function
-         | Fault.Supervisor m -> contains ~affix:"SIGKILL" m
-         | _ -> false)
-       (Sup.faults sup))
-
-(* A wedged replica (SIGSTOP: alive, accepting connections, never
-   answering) must be detected by the timeout-bounded health probes,
-   put down, and restarted. *)
-let test_supervisor_wedge_detection () =
-  let cfg =
-    sup_config ~replicas:1 ~health_period_s:0.1 ~health_timeout_s:0.3
-      ~wedged_after:3 ()
-  in
-  with_supervisor cfg @@ fun sup ->
-  (match Sup.wait_ready ~timeout_s:20.0 sup with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "replica not ready: %s" m);
-  let victim = List.nth (Sup.pids sup) 0 in
-  Unix.kill victim Sys.sigstop;
-  wait_until ~timeout_s:30.0 "wedge detection and restart" (fun () ->
-      Sup.restarts_total sup >= 1);
-  (match Sup.wait_ready ~timeout_s:20.0 sup with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "replica not back: %s" m);
-  check_bool "wedge recorded" true
-    (List.exists
-       (function
-         | Fault.Supervisor m -> contains ~affix:"wedged" m
-         | _ -> false)
-       (Sup.faults sup))
-
-(* A replica that can never start (invalid serve flags, exits 2
-   immediately) must burn its restart budget and be given up on — a
-   typed degradation, not a spawn loop. *)
-let test_supervisor_give_up () =
-  let cfg =
-    sup_config ~replicas:1 ~restarts:2 ~serve_args:[ "--queue"; "0" ] ()
-  in
-  with_supervisor cfg @@ fun sup ->
-  wait_until ~timeout_s:30.0 "restart budget exhaustion" (fun () ->
-      Sup.gave_up sup);
-  check_int "budget fully used" 2 (Sup.restarts_total sup);
-  check_bool "give-up recorded" true
-    (List.exists
-       (function
-         | Fault.Supervisor m -> contains ~affix:"giving up" m
-         | _ -> false)
-       (Sup.faults sup))
-
-(* Rolling drain: stop with requests in flight; every admitted request
-   is answered and the children exit without SIGKILL escalation. *)
-let test_supervisor_rolling_drain () =
-  let cfg = sup_config ~replicas:2 () in
-  with_env calm_env @@ fun () ->
-  let sup = Sup.create cfg in
-  let th = Thread.create Sup.run sup in
-  (match Sup.wait_ready ~timeout_s:20.0 sup with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "tier not ready: %s" m);
-  let pids = Sup.pids sup in
-  Sup.stop sup;
-  Thread.join th;
-  (* Every child is gone (waitpid-reaped, sockets swept). *)
-  List.iter
-    (fun pid ->
-      check_bool
-        (Printf.sprintf "pid %d exited" pid)
-        true
-        (match Unix.kill pid 0 with
-        | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-        | () -> false))
-    pids;
-  check_bool "no SIGKILL escalation" true
-    (not
-       (List.exists
-          (function
-            | Fault.Supervisor m -> contains ~affix:"SIGKILL" m
-            | _ -> false)
-          (Sup.faults sup)))
-
 let () =
-  (* The failover tests deliberately write into dead replicas'
-     sockets; EPIPE must come back as a typed transport error, not a
-     process-killing SIGPIPE (the CLI ignores it the same way). *)
+  (* A write into a connection the peer already closed must come back
+     as a typed transport error, not a process-killing SIGPIPE (the CLI
+     ignores it the same way). *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "serve"
     [
@@ -1353,7 +1022,6 @@ let () =
         [
           Alcotest.test_case "backoff scale" `Quick test_env_backoff_scale;
           Alcotest.test_case "serve knobs" `Quick test_env_serve_knobs;
-          Alcotest.test_case "supervise knobs" `Quick test_env_supervise_knobs;
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
         ] );
       ( "pool",
@@ -1386,26 +1054,9 @@ let () =
           Alcotest.test_case "chaos soak" `Quick test_e2e_chaos_soak;
           Alcotest.test_case "drain in flight" `Quick test_e2e_drain_in_flight;
           Alcotest.test_case "tcp" `Quick test_e2e_tcp;
-          Alcotest.test_case "health" `Quick test_e2e_health;
-          Alcotest.test_case "health bypasses queue" `Quick
-            test_e2e_health_bypasses_queue;
+          Alcotest.test_case "ping bypasses queue" `Quick
+            test_e2e_ping_bypasses_queue;
           Alcotest.test_case "memo cap" `Quick test_e2e_memo_cap;
           Alcotest.test_case "stale socket" `Quick test_stale_socket;
-        ] );
-      ( "failover",
-        [
-          Alcotest.test_case "spread and failover" `Quick
-            test_failover_spread_and_failover;
-          Alcotest.test_case "timeout dedup" `Quick
-            test_failover_timeout_dedup;
-        ] );
-      ( "supervisor",
-        [
-          Alcotest.test_case "crash drill" `Quick test_supervisor_crash_drill;
-          Alcotest.test_case "wedge detection" `Quick
-            test_supervisor_wedge_detection;
-          Alcotest.test_case "give up" `Quick test_supervisor_give_up;
-          Alcotest.test_case "rolling drain" `Quick
-            test_supervisor_rolling_drain;
         ] );
     ]
